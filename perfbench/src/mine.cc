@@ -39,7 +39,10 @@ const std::vector<Cell> kCells = {
     {QueryKind::kMaximum, 10, 25.0},  {QueryKind::kMaximum, 10, 30.0},
 };
 
-constexpr int kSetupReps = 5;
+// Set-ups before the timed phase. One more follows every pass, so the
+// median of all of them samples the host's speed, which drifts over tens
+// of seconds, across the whole run.
+constexpr int kSetupReps = 4;
 // A pass (every cell at 1 and at N threads) takes ~6 s on the reference
 // host; the run makes floor(seconds / kSecondsPerPass) passes so that the
 // number of samples, and with it the tail percentile, does not depend on
@@ -141,18 +144,23 @@ int RunMine(const RunConfig& config, Report* report) {
   Tracer& tracer = Tracer::Get();
   const std::string path = config.work_dir + "/mine.krws";
 
-  // Set-up, repeated so its median is steady; the last copy is kept.
+  // Set-up, repeated so its median is steady. Each repetition rebuilds
+  // the same snapshot in place; the last copy is kept.
   std::vector<double> setup_times;
   Setup setup;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
+  auto setup_once = [&] {
     tracer.set_enabled(config.trace);
     const double t0 = Now();
-    if (krcore::Status s = SetupOnce(path, &setup); !s.ok()) {
+    const krcore::Status s = SetupOnce(path, &setup);
+    setup_times.push_back(Now() - t0);
+    if (!s.ok()) {
       report->Attempt();
       report->Fail("setup: " + s.ToString());
-      return 1;
     }
-    setup_times.push_back(Now() - t0);
+    return s.ok();
+  };
+  for (int rep = 0; rep < kSetupReps; ++rep) {
+    if (!setup_once()) return 1;
   }
 
   std::vector<size_t> order(kCells.size());
@@ -231,6 +239,7 @@ int RunMine(const RunConfig& config, Report* report) {
       }
     }
     results.push_back(std::move(pass));
+    if (!setup_once()) return 1;
   }
   tracer.set_enabled(false);
   report->Info("mine.timed_seconds", Now() - timed_start);

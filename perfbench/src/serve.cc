@@ -46,7 +46,7 @@ const char kWorkspace[] = "serving";
 // popularity order: the j-th cell gets a share of the requests proportional
 // to 1/(j+1), so popular cells see concurrent duplicates that coalesce,
 // while the long tail of distinct cells keeps the server's queue (and the
-// latency knee) real.
+// latency knee) real. The 1/rank skew is assumed, not measured.
 std::vector<Cell> MakeCells() {
   std::vector<Cell> cells;
   for (QueryKind kind :
@@ -82,24 +82,43 @@ std::vector<uint32_t> DrawCells(size_t n, krcore::Rng* rng) {
   return cells;
 }
 
-// Open-loop traffic. The derive stage (~10-18 ms per cell) is the
-// bottleneck; the nominal rate keeps it ~8% busy, so the tail percentile
-// (~p91 of a 50 s run) mostly reads service time, not the queueing
-// bursts that made it swing by 40% between seeds at 20 q/s.
-// The ladder (multiples of the nominal rate) finds the highest rate whose
-// tail latency stays within kLatencyLimitMs with no growing backlog.
+// Open-loop traffic, synthetic: the rates are shares of capacities this
+// benchmark measures (README.md, "Offered traffic"), not taken from a trace.
+// The derive stage (~10-18 ms per cell) is the bottleneck; the nominal rate
+// keeps it ~7% busy (info serve.derive_busy_frac), so the latency figures
+// read service time and writer interference rather than queueing bursts,
+// which at 20 q/s swung the tail by 40% between seeds.
+// The ladder (serve only; multiples of the nominal rate) finds the highest
+// rate whose tail latency stays within kLatencyLimitMs with no growing
+// backlog.
 constexpr double kNominalQps = 5.0;
 const std::vector<double> kLadder = {3, 6, 9, 12, 15, 18, 24, 30};
 // Each rung lasts this share of the nominal phase.
 constexpr double kRungShare = 0.2;
 constexpr double kLatencyLimitMs = 100.0;
 // The update stream of serve-ingest: kBatchUpdates raw updates every
-// kBatchInterval seconds, below the writer's capacity.
+// kBatchInterval seconds, 1280 updates/s. That keeps the writer about half
+// busy (info ingest.writer_busy_frac; its capacity is ~2200 updates per
+// busy second), below capacity but enough for its interference to show in
+// the read latency; at 160 updates/s (7% busy) the latency could not be
+// told apart from serve's.
 constexpr uint32_t kBatchUpdates = 32;
-constexpr double kBatchInterval = 0.2;
+constexpr double kBatchInterval = 0.025;
 
-constexpr int kSetupReps = 5;
-constexpr int kDirectReps = 9;
+// Set-up takes ~70 ms, so its median over many repetitions is cheap. The
+// first kSetupReps run before the timed phase (the last copy is kept) and
+// kLateSetupReps more after it, so the median samples the host's speed,
+// which drifts over tens of seconds, at both ends of the run.
+constexpr int kSetupReps = 6;
+constexpr int kLateSetupReps = 5;
+// The direct-call control is the gated timing of the serve workloads. Its
+// passes take ~0.7 s each, so 27 of them span ~18 s of the host's speed
+// drift. Over five seeds each, the spread of the sums was 0.13-0.19 with 9
+// passes and 0.09-0.12 with 27.
+constexpr int kDirectReps = 27;
+// serve-ingest's nominal phase takes this share of the run; the direct
+// passes take most of the rest.
+constexpr double kIngestNominalShare = 0.75;
 constexpr double kPollSeconds = 1e-3;
 constexpr double kDrainTimeoutSeconds = 60.0;
 // A generator whose median send is this late is not offering the rate it
@@ -125,10 +144,12 @@ krcore::PipelineOptions BasePipeline() {
   return prep;
 }
 
-/// The churn mix of bench_ingest: half inserts (friend-of-a-friend pairs,
-/// which are mostly similar, so they change the filtered graph), a quarter
-/// deletes of recent inserts (churn the coalescer annihilates) and a quarter
-/// deletes of long-lived edges.
+/// The churn proportions of bench_ingest: half inserts, a quarter deletes of
+/// recent inserts (churn the coalescer annihilates) and a quarter deletes
+/// of long-lived edges. Unlike bench_ingest, whose inserts are hub-biased
+/// pairs of low ids (where MakeSkewed puts its hubs), inserts here are
+/// friend-of-a-friend pairs, which close triangles: the geo-social
+/// serving graph's ids carry no hub order for a low-id bias to follow.
 Stream MakeStream(const krcore::Graph& g, size_t batches, uint64_t seed) {
   krcore::Rng rng(seed);
   const krcore::VertexId n = g.num_vertices();
@@ -260,24 +281,26 @@ Mined RunDirect(const krcore::PreparedWorkspace& base, const Cell& cell,
 }
 
 /// The direct-call control: every cell derived and mined straight from the
-/// registered workspace, at 1 thread and at the parallel thread count. Its
-/// 1-thread answers are the reference every served response must match.
+/// registered base version, at 1 thread and at the parallel thread count.
+/// Its first 1-thread answers are the reference every served response of
+/// `serve` must match.
 struct DirectPasses {
-  std::vector<Answer> reference;          // per cell, 1 thread
-  std::vector<double> seq_seconds;        // per cell, median over reps
+  std::vector<Answer> reference;               // per cell, 1 thread
+  std::vector<std::vector<double>> seq_walls;  // per cell, per rep
   std::vector<double> enum_seq, max_seq, enum_par, max_par;  // per rep
   krcore::MiningStats enum_seq_stats, max_seq_stats, par_stats;  // one rep
   std::vector<double> enum_seq_mine, max_seq_mine, enum_par_mine,
       max_par_mine, par_cpu;  // per rep
 };
 
-DirectPasses RunDirectPasses(const krcore::WorkspaceRegistry& registry,
-                             uint32_t par_threads, uint64_t* next_id,
-                             Report* report) {
-  DirectPasses d;
+/// Adds `reps` passes over every cell to `d`.
+void RunDirectPasses(const krcore::PreparedWorkspace& base, int reps,
+                     uint32_t par_threads, uint64_t* next_id, Report* report,
+                     DirectPasses* out) {
+  DirectPasses& d = *out;
   d.reference.resize(kCells.size());
-  std::vector<std::vector<double>> per_cell(kCells.size());
-  for (int rep = 0; rep < kDirectReps; ++rep) {
+  d.seq_walls.resize(kCells.size());
+  for (int rep = 0; rep < reps; ++rep) {
     double sums[4] = {0, 0, 0, 0};  // enum seq, max seq, enum par, max par
     double mine[4] = {0, 0, 0, 0};
     double cpu = 0;
@@ -293,12 +316,7 @@ DirectPasses RunDirectPasses(const krcore::WorkspaceRegistry& registry,
         Mined o;
         {
           ScopedSpan root("direct", id);
-          std::shared_ptr<const krcore::PreparedWorkspace> base;
-          {
-            ScopedSpan s("registry.find", id);
-            base = registry.Find(kWorkspace);
-          }
-          o = RunDirect(*base, cell, threads, id);
+          o = RunDirect(base, cell, threads, id);
         }
         const double wall = Now() - t0;
         const std::string what = "direct " + CellName(cell) +
@@ -307,12 +325,12 @@ DirectPasses RunDirectPasses(const krcore::WorkspaceRegistry& registry,
           report->Fail(what + ": " + o.status.ToString());
           continue;
         }
-        if (rep == 0 && threads == 1) {
+        if (d.seq_walls[c].empty() && threads == 1) {
           d.reference[c] = o.answer;
         } else if (!SameAnswer(cell, o.answer, d.reference[c])) {
           report->Fail(what + ": answer differs from the 1-thread answer");
         }
-        if (threads == 1) per_cell[c].push_back(wall);
+        if (threads == 1) d.seq_walls[c].push_back(wall);
         if (cell.kind == QueryKind::kDerive) continue;
         const int slot = (threads == 1 ? 0 : 2) +
                          (cell.kind == QueryKind::kMaximum ? 1 : 0);
@@ -340,12 +358,16 @@ DirectPasses RunDirectPasses(const krcore::WorkspaceRegistry& registry,
     d.max_seq_stats = max_seq;
     d.par_stats = par;
   }
-  for (size_t c = 0; c < kCells.size(); ++c) {
-    d.seq_seconds.push_back(Median(per_cell[c]));
-    report->Info("direct.seq_ms." + CellName(kCells[c]),
-                 1e3 * d.seq_seconds.back());
-  }
-  return d;
+}
+
+/// Whether a served response is bit-identical to the direct answer: the
+/// same cores in the same order and the same count (derive: the same
+/// vertex and component counts).
+bool SameResponse(const Cell& cell, const krcore::QueryResponse& response,
+                  const Answer& ref) {
+  return response.cores == ref.cores && response.count == ref.count &&
+         (cell.kind != QueryKind::kDerive ||
+          response.num_components == ref.components);
 }
 
 /// One request of an open-loop phase.
@@ -358,7 +380,10 @@ struct Request {
   double done = 0.0;       // response observed
   bool finished = false;
   bool ok = false;
+  // Program-reported QueryResponse timings.
   double wait_seconds = 0.0;
+  double derive_seconds = 0.0;
+  double mine_seconds = 0.0;
   std::shared_future<krcore::QueryResponse> future;
   double latency() const { return done - scheduled; }
 };
@@ -459,14 +484,23 @@ class Generator {
     return phase;
   }
 
-  /// After the timed phases: waits until every submitted batch is visible.
-  void DrainStream() {
+  /// Stops submitting batches and waits until every submitted one is
+  /// visible, so the writer is idle.
+  void PauseStream() {
     stream_->open = false;
-    const double deadline = Now() + kDrainTimeoutSeconds;
+    paused_at_ = Now();
+    const double deadline = paused_at_ + kDrainTimeoutSeconds;
     while (stream_->visible < stream_->next && Now() < deadline) {
       PollStream();
       std::this_thread::sleep_for(std::chrono::duration<double>(kPollSeconds));
     }
+  }
+
+  /// Resumes submitting where the stream paused: the batch schedule moves
+  /// by the length of the pause.
+  void ResumeStream() {
+    stream_->start += Now() - paused_at_;
+    stream_->open = true;
   }
 
  private:
@@ -510,31 +544,44 @@ class Generator {
     const Cell& cell = kCells[r->cell];
     report_->Attempt();
     r->wait_seconds = response.wait_seconds;
+    r->derive_seconds = response.derive_seconds;
+    r->mine_seconds = response.mine_seconds;
     const std::string what =
         "request " + std::to_string(r->id) + " " + CellName(cell);
     if (!response.status.ok()) {
       report_->Fail(what + ": " + response.status.ToString());
-    } else if (check_) {
-      const Answer& ref = direct_.reference[r->cell];
-      const bool same = response.cores == ref.cores &&
-                        response.count == ref.count &&
-                        (cell.kind != QueryKind::kDerive ||
-                         response.num_components == ref.components);
-      if (!same) {
-        report_->Fail(what + ": response differs from direct derive+mine");
-      } else {
-        r->ok = true;
-      }
+    } else if (check_ &&
+               !SameResponse(cell, response, direct_.reference[r->cell])) {
+      report_->Fail(what + ": response differs from direct derive+mine");
     } else {
       r->ok = true;
     }
     r->future = {};  // release the payload
-    if (traced) {
-      Tracer& t = Tracer::Get();
-      const int64_t root = t.Record("request", r->scheduled, r->done, -1, r->id);
-      t.Record("gen.late", r->scheduled, r->sent, root, r->id);
-      t.Record("server.submit", r->sent, r->submitted, root, r->id);
-      t.Record("server.await", r->submitted, r->done, root, r->id);
+    if (traced) RecordRequestSpans(*r);
+  }
+
+  /// The request's span tree. The request tiles into generator lateness,
+  /// Submit and the await; under the await, the server's own timings
+  /// (queueing before the derive stage, derivation, mining) are laid end
+  /// to end from Submit's return, clipped to the response. What they leave
+  /// uncovered -- the hand-off to the mine stage, the response fan-out and
+  /// the generator noticing it -- is the await's unattributed self time.
+  static void RecordRequestSpans(const Request& r) {
+    Tracer& t = Tracer::Get();
+    const int64_t root = t.Record("request", r.scheduled, r.done, -1, r.id);
+    t.Record("gen.late", r.scheduled, r.sent, root, r.id);
+    t.Record("server.submit", r.sent, r.submitted, root, r.id);
+    const int64_t await =
+        t.Record("server.await", r.submitted, r.done, root, r.id);
+    const std::pair<const char*, double> parts[] = {
+        {"server.queue", r.wait_seconds},
+        {"server.derive", r.derive_seconds},
+        {"server.mine", r.mine_seconds}};
+    double at = r.submitted;
+    for (const auto& [name, seconds] : parts) {
+      const double end = std::min(at + seconds, r.done);
+      if (end > at) t.Record(name, at, end, await, r.id);
+      at = end;
     }
   }
 
@@ -575,6 +622,7 @@ class Generator {
   StreamDriver* stream_;
   Report* report_;
   uint64_t next_id_ = 0;
+  double paused_at_ = 0.0;
 };
 
 std::vector<double> Latencies(const PhaseResult& phase) {
@@ -637,43 +685,103 @@ std::string CheckAgainstCold(const krcore::PreparedWorkspace& published,
   return "";
 }
 
+/// The served-vs-direct gate of serve-ingest, run once the stream has
+/// drained and the published version no longer changes: every cell is
+/// submitted twice at once to a fresh server (the second copy usually
+/// coalesces), and every response must be bit-identical to a direct
+/// 1-thread derive+mine of its cell on that same version.
+void CheckServedBurst(const krcore::WorkspaceRegistry& registry,
+                      Report* report) {
+  const std::shared_ptr<const krcore::PreparedWorkspace> frozen =
+      registry.Find(kWorkspace);
+  std::vector<Answer> reference;
+  for (const Cell& cell : kCells) {
+    Mined o = RunDirect(*frozen, cell, 1, 0);
+    if (!o.status.ok()) {
+      report->Attempt();
+      report->Fail("burst reference " + CellName(cell) + ": " +
+                   o.status.ToString());
+      return;
+    }
+    reference.push_back(o.answer);
+  }
+  krcore::ServerOptions options;
+  options.queue_capacity = 4096;
+  krcore::QueryServer server(&registry, options);
+  server.Start();
+  std::vector<std::shared_future<krcore::QueryResponse>> futures;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const Cell& cell : kCells) {
+      krcore::QueryRequest q;
+      q.id = "burst-" + std::to_string(futures.size());
+      q.workspace = kWorkspace;
+      q.kind = cell.kind;
+      q.k = cell.k;
+      q.r = cell.r;
+      futures.push_back(server.Submit(q));
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const size_t c = i % kCells.size();
+    const krcore::QueryResponse& response = futures[i].get();
+    const std::string what = "burst request " + CellName(kCells[c]);
+    report->Attempt();
+    if (!response.status.ok()) {
+      report->Fail(what + ": " + response.status.ToString());
+    } else if (!SameResponse(kCells[c], response, reference[c])) {
+      report->Fail(what + ": response differs from direct derive+mine");
+    }
+  }
+  server.Stop();
+}
+
 }  // namespace
 
 int RunServe(const RunConfig& config, bool ingest, Report* report) {
   Tracer& tracer = Tracer::Get();
   const std::string path = config.work_dir + "/" + config.workload + ".krws";
-  const double phase_seconds = config.seconds / 2;
-  // Enough batches for the nominal phase, every rung, and 10 s of drains.
-  const double stream_seconds =
-      phase_seconds * (1.0 + kRungShare * kLadder.size()) + 10.0;
+  // serve: the nominal phase takes half the run and the ladder at most
+  // kRungShare x kLadder.size() of that again. serve-ingest has no ladder;
+  // its nominal time is split into two halves.
+  const double phase_seconds = ingest
+                                   ? config.seconds * kIngestNominalShare / 2
+                                   : config.seconds / 2;
+  // Enough batches for both nominal phases and 10 s of drains.
+  const double stream_seconds = phase_seconds * 2 + 10.0;
   const size_t stream_batches =
       static_cast<size_t>(std::ceil(stream_seconds / kBatchInterval));
 
   std::vector<double> setup_times;
+  auto setup_once = [&](const std::string& to, State* into) {
+    tracer.set_enabled(config.trace);
+    const double t0 = Now();
+    const krcore::Status s =
+        SetupOnce(to, ingest, stream_batches, config.seed, into);
+    setup_times.push_back(Now() - t0);
+    tracer.set_enabled(false);
+    if (!s.ok()) {
+      report->Attempt();
+      report->Fail("setup: " + s.ToString());
+    }
+    return s.ok();
+  };
   std::unique_ptr<State> state;
   for (int rep = 0; rep < kSetupReps; ++rep) {
     state.reset();  // one copy alive at a time
     state = std::make_unique<State>();
-    tracer.set_enabled(config.trace);
-    const double t0 = Now();
-    if (krcore::Status s =
-            SetupOnce(path, ingest, stream_batches, config.seed, state.get());
-        !s.ok()) {
-      report->Attempt();
-      report->Fail("setup: " + s.ToString());
-      return 1;
-    }
-    setup_times.push_back(Now() - t0);
+    if (!setup_once(path, state.get())) return 1;
   }
-  tracer.set_enabled(false);
 
   report->Info("serve.nominal_qps", kNominalQps);
-  std::string ladder;
-  for (double m : kLadder) {
-    ladder += std::to_string(std::lround(kNominalQps * m)) + " ";
+  report->Info("serve.nominal_seconds", phase_seconds);
+  if (!ingest) {
+    std::string ladder;
+    for (double m : kLadder) {
+      ladder += std::to_string(std::lround(kNominalQps * m)) + " ";
+    }
+    report->Info("serve.ladder_qps", ladder);
+    report->Info("serve.latency_limit_ms", kLatencyLimitMs);
   }
-  report->Info("serve.ladder_qps", ladder);
-  report->Info("serve.latency_limit_ms", kLatencyLimitMs);
   report->Info("serve.threads",
                ingest ? "generator + derive + mine + writer = 4"
                       : "generator + derive + mine = 3");
@@ -683,14 +791,23 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
     report->Info("ingest.batch_updates", kBatchUpdates);
   }
 
+  // The direct-call control times the registered base version, so on
+  // serve-ingest its timings do not depend on the seed's edge stream. There
+  // it runs in three blocks -- before, between and after the two nominal
+  // halves, with the writer idle -- so its median samples the host's speed
+  // across the whole run rather than in one burst.
+  const std::shared_ptr<const krcore::PreparedWorkspace> base =
+      state->registry.Find(kWorkspace);
   uint64_t direct_ids = 1u << 30;
   DirectPasses direct;
-  if (!ingest) {
+  const int direct_blocks = ingest ? 3 : 1;
+  auto direct_block = [&] {
     tracer.set_enabled(config.trace);
-    direct = RunDirectPasses(state->registry, config.par_threads, &direct_ids,
-                             report);
+    RunDirectPasses(*base, kDirectReps / direct_blocks, config.par_threads,
+                    &direct_ids, report, &direct);
     tracer.set_enabled(false);
-  }
+  };
+  direct_block();
 
   std::unique_ptr<krcore::IngestPipeline> pipeline;
   StreamDriver stream;
@@ -711,12 +828,40 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
   const double timed_start = Now();
   const uint64_t seed = config.seed * 1000003ULL;
 
-  // The nominal phase, then the ladder. Traced runs add a second, traced
-  // nominal phase; its difference to the first is the tracing overhead.
+  // The nominal phase. serve-ingest runs it in two halves around a direct
+  // block; a traced run traces the second half. serve then climbs the
+  // ladder, and a traced serve run repeats the nominal phase traced. A
+  // traced phase sends the same arrivals and cells as the untraced one, so
+  // the difference of the two is the tracing overhead.
   PhaseResult nominal = gen.Run(kNominalQps, phase_seconds, seed, false,
                                 ingest ? &pinned : nullptr);
+  double nominal_seconds = phase_seconds;
+  double derive_busy = nominal.stats.derive.service_seconds;
+  double mine_busy = nominal.stats.mine.service_seconds;
+  PhaseResult traced_nominal;
+  if (ingest) {
+    gen.PauseStream();
+    direct_block();
+    gen.ResumeStream();
+    PhaseResult second = gen.Run(kNominalQps, phase_seconds,
+                                 config.trace ? seed : seed + 1, config.trace,
+                                 nullptr);
+    if (config.trace) {
+      traced_nominal = std::move(second);
+    } else {
+      for (Request& r : second.requests) {
+        nominal.requests.push_back(std::move(r));
+      }
+      nominal_seconds += phase_seconds;
+      derive_busy += second.stats.derive.service_seconds;
+      mine_busy += second.stats.mine.service_seconds;
+    }
+  }
+  // The offered load as a share of each stage's capacity, measured.
+  report->Info("serve.derive_busy_frac", derive_busy / nominal_seconds);
+  report->Info("serve.mine_busy_frac", mine_busy / nominal_seconds);
   double max_rate = 0.0;
-  {
+  if (!ingest) {
     // The ladder stops after two consecutive rungs over the limit, so one
     // noisy rung does not end it, or at a rung with failed requests.
     const double limit = kLatencyLimitMs * 1e-3;
@@ -740,11 +885,9 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
       over = score > limit ? over + 1 : 0;
     }
     max_rate = MaxRate(rates, scores, limit);
-  }
-  PhaseResult traced_nominal;
-  if (config.trace) {
-    traced_nominal = gen.Run(kNominalQps, phase_seconds, seed + 1, true,
-                             nullptr);
+    if (config.trace) {
+      traced_nominal = gen.Run(kNominalQps, phase_seconds, seed, true, nullptr);
+    }
   }
   const double peak_rss = PeakRssMb();
   report->Info("serve.timed_seconds", Now() - timed_start);
@@ -754,16 +897,17 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
   krcore::IngestStatsSnapshot ingest_stats;
   double ingest_wall = 0.0;
   if (ingest) {
-    gen.DrainStream();
+    gen.PauseStream();
     pipeline->Flush();
-    ingest_wall = Now() - stream.start;
+    ingest_wall = Now() - stream.start;  // start moved past the pause
     ingest_stats = pipeline->Stats();
     pipeline->Stop();
+    direct_block();
     report->Info("ingest.batches_submitted", static_cast<double>(stream.next));
-    tracer.set_enabled(config.trace);
-    direct = RunDirectPasses(state->registry, config.par_threads, &direct_ids,
-                             report);
-    tracer.set_enabled(false);
+    CheckServedBurst(state->registry, report);
+    report->Info("ingest.writer_busy_frac",
+                 (ingest_stats.apply_seconds + ingest_stats.publish_seconds) /
+                     ingest_wall);
     const krcore::PublishedVersion final_version = state->live->Current();
     report->Attempt(2);
     if (ingest_stats.rolled_back_batches != 0) {
@@ -809,18 +953,28 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
   latency.tail = TailOf(latencies);
   latency.max_rate_qps = max_rate;
   report->Info("latency.basis",
-               "scheduled send -> response at the nominal rate; max_rate_qps: "
-               "highest ladder rung whose score (tail, or last-third median "
-               "if higher) meets the latency limit, interpolated toward the "
-               "next rung");
+               std::string("scheduled send -> response at the nominal rate") +
+                   (ingest ? "; no rate ladder (max_rate_qps reads 0)"
+                           : "; max_rate_qps: highest ladder rung whose score "
+                             "(tail, or last-third median if higher) meets "
+                             "the latency limit, interpolated toward the "
+                             "next rung"));
   Layers layers;
   RecordLatency(latency, config.trace, report, &layers);
 
+  // The late set-up repetitions build throwaway copies; the peak RSS was
+  // read before them.
+  for (int rep = 0; rep < kLateSetupReps; ++rep) {
+    State spare;
+    if (!setup_once(path + ".rep", &spare)) return 1;
+  }
+
   if (!config.trace) {
     report->Info("direct.basis",
-                 "enum_*/max_* = direct registry resolve + derive + mine of "
-                 "the serving cells, median of " +
-                     std::to_string(kDirectReps) + " passes");
+                 "enum_*/max_* = direct derive + mine of the serving cells "
+                 "on the registered base version, median of " +
+                     std::to_string(kDirectReps) + " passes in " +
+                     std::to_string(direct_blocks) + " block(s)");
     EndToEnd e2e;
     e2e.setup_s = Median(setup_times);
     e2e.peak_rss_mb = peak_rss;
@@ -877,7 +1031,7 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
   std::vector<double> overhead, wait, traced_late;
   for (const Request& r : t.requests) {
     if (!r.finished) continue;
-    overhead.push_back(r.latency() - direct.seq_seconds[r.cell]);
+    overhead.push_back(r.latency() - Median(direct.seq_walls[r.cell]));
     wait.push_back(r.wait_seconds);
     traced_late.push_back(r.sent - r.scheduled);
   }
@@ -896,9 +1050,14 @@ int RunServe(const RunConfig& config, bool ingest, Report* report) {
   const Tail late_tail = TailOf(traced_late);
   layers["gen.late_ms"] = 1e3 * late_tail.value;
   report->InfoTail("gen.late_ms", late_tail);
-  double self = 0, total = 0;
+  // Unattributed time of the request trees: the request's own self time
+  // (its three children tile it) plus the await's, over request wall time.
+  double self = 0, total = 0, await_self = 0, await_total = 0;
   SelfTime(spans, "request", &self, &total);
-  layers["query.self_frac"] = total > 0 ? self / total : 0.0;
+  SelfTime(spans, "server.await", &await_self, &await_total);
+  layers["query.self_frac"] = total > 0 ? (self + await_self) / total : 0.0;
+  report->Info("query.await_self_frac",
+               await_total > 0 ? await_self / await_total : 0.0);
   layers["trace.overhead_ms"] =
       1e3 * (Median(Latencies(t)) - Median(latencies));
 
