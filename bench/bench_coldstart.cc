@@ -1,21 +1,19 @@
-// Measures snapshot cold start: process launch to first query result,
-// comparing the v3 sectioned format (parse + validate + rebuild everything
-// at load) against the v4 mmap layout loaded eagerly and lazily:
+// Measures snapshot cold start: process launch to first query result, for
+// the v4 mmap layout loaded eagerly and lazily:
 //
 //   Coldstart  load + first maximum query on one scored serving substrate:
-//                v3_eager   read/parse/validate the whole v3 file up front
 //                v4_eager   mmap the v4 file, validate every component now
 //                v4_lazy    mmap the v4 file, validate on first touch —
 //                           the maximum search's size pruning then skips
 //                           validation of every component smaller than the
 //                           incumbent, so only the largest few pay
-//              The Speedup series records v3_eager_total / v4_lazy_total;
+//              The Speedup series records v4_eager_total / v4_lazy_total;
 //              rss_delta_mb records the resident-set growth of load+query
-//              (the mmap path keeps cold components out of the heap).
+//              (the lazy path keeps cold components out of memory).
 //
-// All three variants must return the identical maximum core; the binary
-// exits non-zero on divergence. The CI bench-smoke job checks the emitted
-// JSON with bench/check_bench_json.py.
+// The in-memory workspace, the eager load and the lazy load must return
+// the identical maximum core; the binary exits non-zero on divergence. The
+// CI bench-smoke job checks the emitted JSON with bench/check_bench_json.py.
 //
 // Usage: bench_coldstart [--scale=] [--timeout=] [--quick]
 //                        [--json=BENCH_coldstart.json] [--csv=]
@@ -44,7 +42,7 @@ namespace {
 /// city plus many small tenant cities ~1000 km apart: the maximum search
 /// seeds its incumbent in the flagship (which holds the global max-degree
 /// vertex) and size-prunes every smaller component, so a lazy load
-/// validates only the flagship's bytes while the eager formats pay for the
+/// validates only the flagship's bytes while an eager load pays for the
 /// whole file — the many-tenant registry shape the mmap layout targets.
 /// Tenant cities are spread over ~15 km, so the 40..80 km score band is
 /// populated and the snapshot carries scored reserve segments.
@@ -108,6 +106,15 @@ uint64_t ResidentBytes() {
 #endif
 }
 
+/// The first query every variant answers: the maximum (k, r)-core.
+MaximumCoreResult FirstQuery(const PreparedWorkspace& ws, uint32_t k,
+                             const ExperimentEnv& env) {
+  MaxOptions opts = AdvMaxOptions(k);
+  opts.deadline = Deadline::AfterSeconds(env.timeout_seconds);
+  opts.parallel.num_threads = env.threads;
+  return FindMaximumCore(ws.components, opts);
+}
+
 struct ColdstartRun {
   double load_seconds = 0.0;
   double query_seconds = 0.0;
@@ -136,11 +143,8 @@ ColdstartRun RunColdstart(const std::string& path, bool lazy, uint32_t k,
   }
   run.load_seconds = load_timer.ElapsedSeconds();
 
-  MaxOptions opts = AdvMaxOptions(k);
-  opts.deadline = Deadline::AfterSeconds(env.timeout_seconds);
-  opts.parallel.num_threads = env.threads;
   Timer query_timer;
-  MaximumCoreResult result = FindMaximumCore(ws.components, opts);
+  MaximumCoreResult result = FirstQuery(ws, k, env);
   run.query_seconds = query_timer.ElapsedSeconds();
   if (!result.status.ok()) {
     std::fprintf(stderr, "%s: first query failed: %s\n", series.c_str(),
@@ -192,8 +196,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", serving.StatsString().c_str());
 
   // One scored preparation (loosest r = 80 km, scores covering down to
-  // 40 km) written in both formats; the cold starts then race on the same
-  // substrate bytes.
+  // 40 km) written once; both cold starts then race on the same bytes.
   const uint32_t k = 3;
   SimilarityOracle oracle = serving.MakeOracle(80.0);
   PipelineOptions prep;
@@ -208,13 +211,14 @@ int main(int argc, char** argv) {
   std::printf("prepared: %zu components, %u vertices\n", ws.components.size(),
               (unsigned)ws.num_vertices());
 
-  const std::string v3_path = "bench_coldstart_v3.krws";
-  const std::string v4_path = "bench_coldstart_v4.krws";
-  if (Status s = SaveWorkspaceSnapshot(ws, v3_path, kSnapshotVersionSectioned);
-      !s.ok()) {
-    std::fprintf(stderr, "save v3 failed: %s\n", s.ToString().c_str());
+  MaximumCoreResult in_memory = FirstQuery(ws, k, env);
+  if (!in_memory.status.ok()) {
+    std::fprintf(stderr, "in-memory query failed: %s\n",
+                 in_memory.status.ToString().c_str());
     return 1;
   }
+
+  const std::string v4_path = "bench_coldstart_v4.krws";
   if (Status s = SaveWorkspaceSnapshot(ws, v4_path); !s.ok()) {
     std::fprintf(stderr, "save v4 failed: %s\n", s.ToString().c_str());
     return 1;
@@ -222,20 +226,17 @@ int main(int argc, char** argv) {
 
   FigureReport figure("Coldstart",
                       "snapshot load to first maximum-query result");
-  ColdstartRun v3_eager =
-      RunColdstart(v3_path, /*lazy=*/false, k, env, "v3_eager", &figure);
   ColdstartRun v4_eager =
       RunColdstart(v4_path, /*lazy=*/false, k, env, "v4_eager", &figure);
   ColdstartRun v4_lazy =
       RunColdstart(v4_path, /*lazy=*/true, k, env, "v4_lazy", &figure);
-  std::remove(v3_path.c_str());
   std::remove(v4_path.c_str());
 
-  if (!v3_eager.ok || !v4_eager.ok || !v4_lazy.ok) return 1;
-  const bool identical =
-      v3_eager.best == v4_eager.best && v3_eager.best == v4_lazy.best;
+  if (!v4_eager.ok || !v4_lazy.ok) return 1;
+  const bool identical = in_memory.best == v4_eager.best &&
+                         in_memory.best == v4_lazy.best;
   const double speedup = v4_lazy.total_seconds > 0
-                             ? v3_eager.total_seconds / v4_lazy.total_seconds
+                             ? v4_eager.total_seconds / v4_lazy.total_seconds
                              : 0.0;
   Measurement speedup_m;
   speedup_m.series = "Speedup";
@@ -244,9 +245,9 @@ int main(int argc, char** argv) {
   figure.Add(speedup_m);
   figure.Finish(env);
 
-  std::printf("v3 eager %.4fs -> v4 lazy %.4fs: %.1fx load-to-first-result, "
-              "results %s\n",
-              v3_eager.total_seconds, v4_lazy.total_seconds, speedup,
+  std::printf("v4 eager %.4fs -> v4 lazy %.4fs: %.1fx load-to-first-result, "
+              "in-memory/eager/lazy results %s\n",
+              v4_eager.total_seconds, v4_lazy.total_seconds, speedup,
               identical ? "identical" : "DIFFER (BUG)");
   if (!identical) return 1;
 
@@ -258,13 +259,13 @@ int main(int argc, char** argv) {
     WriteJsonReport(
         env.json_path, "bench_coldstart",
         "Snapshot cold start: load to first maximum-query result on one "
-        "scored serving substrate, comparing the v3 sectioned format "
-        "(eager parse + validate + rebuild) against the v4 mmap layout "
-        "loaded eagerly and lazily. Lazy first-touch validation plus the "
-        "maximum search's size pruning means only the largest components "
-        "pay validation; the Speedup series at x=total records "
-        "v3_eager/v4_lazy wall time and rss_delta_mb the resident-set "
-        "growth of load+query per variant.",
+        "scored serving substrate, for the v4 mmap layout loaded eagerly "
+        "(every component validated at load) and lazily (first-touch "
+        "validation). Lazy validation plus the maximum search's size "
+        "pruning means only the largest components pay validation; the "
+        "Speedup series at x=total records v4_eager/v4_lazy wall time and "
+        "rss_delta_mb the resident-set growth of load+query per variant. "
+        "The in-memory, eager and lazy maximum cores must be identical.",
         command, env, {&figure});
   }
   return 0;

@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
         "                    r between the two, not just --r\n"
         "  --snapshot_in=F   load a workspace instead of a graph; --k >= the\n"
         "                    saved k is served by k-core derivation, and a\n"
-        "                    score-annotated (v3) snapshot serves any --r in\n"
+        "                    score-annotated snapshot serves any --r in\n"
         "                    its covered range by score filtering\n"
         "  --sweep=KS[xRS]   mine every (k,r) cell, e.g. 3,4,5x10,25 —\n"
         "                    ONE pair sweep total (score-annotated base at\n"
@@ -401,7 +401,7 @@ int main(int argc, char** argv) {
       if (!ParseSweepSpec(options.GetString("sweep", ""), &ks, &rs)) {
         return Fail("bad --sweep spec (want k1,k2[xr1,r2]); see --help");
       }
-      // A score-annotated (v3) snapshot serves any r between its serving
+      // A score-annotated snapshot serves any r between its serving
       // threshold and its cover; without annotation only the baked-in r.
       if (rs.empty()) rs = {ws.threshold};
       SweepResult result =
@@ -638,7 +638,7 @@ int main(int argc, char** argv) {
   // --- Batched (k,r) grid over the raw graph. With --snapshot_out the
   // score-annotated base workspace — prepared once at the grid's loosest r
   // with scores covering its strictest, at the smallest k — is persisted
-  // first, then the whole grid is served from it. The saved v3 snapshot
+  // first, then the whole grid is served from it. The saved snapshot
   // keeps serving every (k' >= k_min, r inside the grid's r range) later.
   if (options.Has("sweep")) {
     SweepGrid grid;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,25 @@ std::string ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void PutU32(std::string* s, uint32_t v) {
+  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+void PutU64(std::string* s, uint64_t v) {
+  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+void PutDouble(std::string* s, double v) {
+  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+/// FNV-1a 64 with the spec's offset basis and prime.
+uint64_t Fnv(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 PreparedWorkspace PrepareFixture(const Dataset& dataset, uint32_t k,
@@ -146,18 +166,74 @@ TEST(Snapshot, WrongMagicIsRejected) {
   EXPECT_TRUE(loaded.components.empty());
 }
 
+/// A file in the retired sectioned layout (versions 1-3): magic, version,
+/// then one checksummed (tag 1, size, payload, checksum) meta section
+/// shaped for that version, describing an empty workspace — a file those
+/// versions' readers accepted.
+std::string SectionedFile(uint32_t version) {
+  std::string meta;
+  PutU32(&meta, 2);        // k
+  PutDouble(&meta, 1.0);   // threshold
+  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
+  if (version >= 2) PutU64(&meta, 0);  // graph version
+  if (version >= 3) {
+    PutU32(&meta, 0);       // flags: unscored
+    PutDouble(&meta, 1.0);  // score cover == threshold
+  }
+  PutU64(&meta, 0);  // no components
+  std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  PutU32(&bytes, version);
+  PutU32(&bytes, 1);  // meta tag
+  PutU64(&bytes, meta.size());
+  bytes += meta;
+  PutU64(&bytes, Fnv(meta));
+  return bytes;
+}
+
 TEST(Snapshot, UnsupportedVersionIsRejected) {
+  // Only version 4 loads. Versions 1-3 are the retired sectioned layout;
+  // 0 and 5 are a real v4 file with the version field patched.
   auto dataset = test::MakeRandomGeo(40, 150, 3);
   PreparedWorkspace ws = PrepareFixture(dataset, 2, 0.4);
   TempFile file("version.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
-  std::string bytes = ReadAll(file.path());
-  bytes[8] = char(0xEE);  // version u32 follows the 8-byte magic
-  WriteAll(file.path(), bytes);
+  const std::string v4_bytes = ReadAll(file.path());
+  for (uint32_t version : {0u, 1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE(::testing::Message() << "version " << version);
+    std::string bytes = v4_bytes;
+    if (version >= 1 && version <= 3) {
+      bytes = SectionedFile(version);
+    } else {
+      std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    }
+    WriteAll(file.path(), bytes);
+    const std::string named = "version " + std::to_string(version);
+
+    PreparedWorkspace loaded;
+    Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find(named), std::string::npos) << s.ToString();
+    EXPECT_TRUE(loaded.components.empty());
+    EXPECT_EQ(loaded.k, 0u);
+
+    SnapshotInfo info;
+    Status is = InspectSnapshot(file.path(), &info);
+    EXPECT_TRUE(is.IsInvalidArgument()) << is.ToString();
+    EXPECT_NE(is.message().find(named), std::string::npos) << is.ToString();
+    EXPECT_EQ(info.format_version, 0u);
+    EXPECT_TRUE(info.sections.empty());
+  }
+}
+
+TEST(Snapshot, GraphVersionRoundTrips) {
+  auto dataset = test::MakeRandomGeo(50, 200, 12);
+  PreparedWorkspace ws = PrepareFixture(dataset, 2, 0.4);
+  ws.version = 41;  // as if 41 update batches had been applied
+  TempFile file("version_field.krws");
+  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("version"), std::string::npos);
+  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
+  EXPECT_EQ(loaded.version, 41u);
 }
 
 TEST(Snapshot, TruncationAnywhereIsCleanError) {
@@ -201,306 +277,255 @@ TEST(Snapshot, BitFlipFailsChecksum) {
   }
 }
 
-// --- Hand-crafted hostile-file helpers (checksums valid, payloads evil). --
+// --- An independent v4 writer, built from docs/SNAPSHOT_FORMAT.md rather
+// than the library's layout code, so the hostile files below also check
+// the written spec. Checksums are valid; the payloads are evil. ------------
 
-void PutU32(std::string* s, uint32_t v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
+/// Zero-pads to the next 64-byte boundary (no-op when already aligned).
+void PadTo64(std::string* s) { s->resize((s->size() + 63) / 64 * 64, '\0'); }
+
+/// The meta fields a test varies; the rest are fixed (default bitset
+/// degree, graph version 0). Defaults describe an unscored workspace.
+struct SpecMeta {
+  uint32_t k = 2;
+  double threshold = 1.0;
+  uint32_t flags = 0;  // bit 0 = scored, bit 1 = distance
+  double cover = 1.0;
+  /// Declared component count; defaults to the components written.
+  std::optional<uint64_t> num_components;
+};
+
+/// Meta for a scored similarity-metric workspace: serve r=0.5, cover r=0.8.
+SpecMeta ScoredMeta(double threshold = 0.5, double cover = 0.8,
+                    uint32_t flags = 1) {
+  return SpecMeta{2, threshold, flags, cover, std::nullopt};
 }
-void PutU64(std::string* s, uint64_t v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-uint64_t Fnv(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+
+using Row = std::vector<std::pair<uint32_t, double>>;  // (id, score)
+
+/// One component as the in-memory rows the blob stores, written exactly as
+/// given (so a test can make them asymmetric or misclassified). to_parent
+/// is the identity. Missing dissimilarity rows are empty.
+struct SpecComponent {
+  std::vector<std::vector<uint32_t>> adjacency;
+  std::vector<Row> active;
+  std::vector<Row> reserve;
+  /// Declared active pair count; defaults to the entries with id > row.
+  std::optional<uint64_t> num_pairs;
+};
+
+std::string SpecV4File(const SpecMeta& meta,
+                       const std::vector<SpecComponent>& components) {
+  const bool scored = (meta.flags & 1) != 0;
+  // Header: magic, version 4, zero padding to 64 bytes.
+  std::string file(kSnapshotMagic, sizeof(kSnapshotMagic));
+  PutU32(&file, 4);
+  PadTo64(&file);
+
+  std::string table;
+  for (const SpecComponent& c : components) {
+    const uint32_t n = static_cast<uint32_t>(c.adjacency.size());
+    std::vector<Row> active = c.active;
+    std::vector<Row> reserve = c.reserve;
+    active.resize(n);
+    reserve.resize(n);
+    // Blob arrays in spec order, each starting 64-byte aligned.
+    std::string blob;
+    uint64_t directed = 0;
+    uint32_t max_degree = 0;
+    PutU64(&blob, 0);  // graph_offsets
+    for (const auto& row : c.adjacency) {
+      directed += row.size();
+      max_degree = std::max(max_degree, static_cast<uint32_t>(row.size()));
+      PutU64(&blob, directed);
+    }
+    PadTo64(&blob);
+    for (const auto& row : c.adjacency) {  // neighbors
+      for (uint32_t v : row) PutU32(&blob, v);
+    }
+    PadTo64(&blob);
+    for (uint32_t u = 0; u < n; ++u) PutU32(&blob, u);  // to_parent
+    PadTo64(&blob);
+    uint64_t entries = 0;
+    PutU64(&blob, 0);  // d_offsets
+    for (uint32_t u = 0; u < n; ++u) {
+      entries += active[u].size() + reserve[u].size();
+      PutU64(&blob, entries);
+    }
+    PadTo64(&blob);
+    entries = 0;
+    for (uint32_t u = 0; u < n; ++u) {  // d_active_end
+      PutU64(&blob, entries + active[u].size());
+      entries += active[u].size() + reserve[u].size();
+    }
+    PadTo64(&blob);
+    uint64_t num_pairs = 0;
+    uint64_t num_reserve = 0;
+    for (uint32_t u = 0; u < n; ++u) {  // d_ids: active, then reserve
+      for (auto [v, score] : active[u]) {
+        PutU32(&blob, v);
+        num_pairs += v > u;
+      }
+      for (auto [v, score] : reserve[u]) {
+        PutU32(&blob, v);
+        num_reserve += v > u;
+      }
+    }
+    PadTo64(&blob);
+    if (scored) {
+      for (uint32_t u = 0; u < n; ++u) {  // d_scores, same order
+        for (auto [v, score] : active[u]) PutDouble(&blob, score);
+        for (auto [v, score] : reserve[u]) PutDouble(&blob, score);
+      }
+      PadTo64(&blob);
+    }
+    // Section table entry (64 bytes).
+    PutU64(&table, file.size());
+    PutU64(&table, blob.size());
+    PutU64(&table, Fnv(blob));
+    PutU32(&table, n);
+    PutU32(&table, max_degree);
+    PutU64(&table, directed / 2);
+    PutU64(&table, c.num_pairs.value_or(num_pairs));
+    PutU64(&table, num_reserve);
+    PutU64(&table, 0);  // reserved
+    file += blob;
   }
-  return h;
-}
-void PutSection(std::string* out, uint32_t tag, const std::string& payload) {
-  PutU32(out, tag);
-  PutU64(out, payload.size());
-  out->append(payload);
-  PutU64(out, Fnv(payload));
+
+  const uint64_t meta_offset = file.size();
+  std::string meta_bytes;
+  PutU32(&meta_bytes, meta.k);
+  PutDouble(&meta_bytes, meta.threshold);
+  PutU32(&meta_bytes, DissimilarityIndex::kDefaultBitsetMinDegree);
+  PutU64(&meta_bytes, 0);  // graph version
+  PutU32(&meta_bytes, meta.flags);
+  PutDouble(&meta_bytes, meta.cover);
+  PutU64(&meta_bytes, meta.num_components.value_or(components.size()));
+  file += meta_bytes;
+  const uint64_t table_offset = file.size();
+  file += table;
+
+  // Tail (56 bytes).
+  PutU64(&file, meta_offset);
+  PutU64(&file, meta_bytes.size());
+  PutU64(&file, Fnv(meta_bytes));
+  PutU64(&file, table_offset);
+  PutU64(&file, Fnv(table));
+  PutU64(&file, table_offset + table.size() + 56);  // file size
+  file += "KR4FOOTR";
+  return file;
 }
 
-void PutDouble(std::string* s, double v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
+SnapshotLoadOptions LazyLoad() {
+  SnapshotLoadOptions o;
+  o.lazy = true;
+  return o;
 }
 
-/// A syntactically valid v3 meta section for `num_components` components
-/// (unscored: flags 0, cover == threshold).
-std::string MetaPayload(uint64_t num_components, uint32_t k = 2) {
-  std::string meta;
-  PutU32(&meta, k);
-  PutDouble(&meta, 1.0);  // threshold
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, 0);       // graph version
-  PutU32(&meta, 0);       // flags: unscored
-  PutDouble(&meta, 1.0);  // score cover == threshold
-  PutU64(&meta, num_components);
-  return meta;
+/// A defect inside a component blob: the eager load fails, while the lazy
+/// load succeeds and its first full validation fails with the same message.
+void ExpectComponentRejected(const std::string& bytes,
+                             const std::string& expect) {
+  TempFile file("hostile_component.krws");
+  WriteAll(file.path(), bytes);
+  PreparedWorkspace eager;
+  Status es = LoadWorkspaceSnapshot(file.path(), &eager);
+  EXPECT_TRUE(es.IsInvalidArgument()) << es.ToString();
+  EXPECT_NE(es.message().find(expect), std::string::npos) << es.ToString();
+  EXPECT_TRUE(eager.components.empty());
+
+  PreparedWorkspace lazy;
+  Status ls = LoadWorkspaceSnapshot(file.path(), LazyLoad(), &lazy, nullptr);
+  ASSERT_TRUE(ls.ok()) << ls.ToString();
+  Status first_touch = lazy.EnsureAllValid();
+  EXPECT_TRUE(first_touch.IsInvalidArgument()) << first_touch.ToString();
+  EXPECT_EQ(first_touch.message(), es.message());
 }
 
-/// Pre-v3 meta layouts, for the format-compatibility tests: v2 carries the
-/// graph version, v1 predates it. Both have no annotation identity.
-std::string MetaPayloadV2(uint64_t num_components, uint32_t k,
-                          double threshold, uint64_t graph_version) {
-  std::string meta;
-  PutU32(&meta, k);
-  PutDouble(&meta, threshold);
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, graph_version);
-  PutU64(&meta, num_components);
-  return meta;
-}
-std::string MetaPayloadV1(uint64_t num_components, uint32_t k,
-                          double threshold) {
-  std::string meta;
-  PutU32(&meta, k);
-  PutDouble(&meta, threshold);
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, num_components);
-  return meta;
-}
-
-std::string FileWithSections(
-    const std::vector<std::pair<uint32_t, std::string>>& sections,
-    uint32_t file_version = kSnapshotVersionSectioned) {
-  std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  PutU32(&bytes, file_version);
-  for (const auto& [tag, payload] : sections) {
-    PutSection(&bytes, tag, payload);
+/// A defect in the header, meta or table: eager and lazy loads both fail
+/// up front and leave the output reset.
+void ExpectFileRejected(const std::string& bytes, const std::string& expect) {
+  TempFile file("hostile_file.krws");
+  WriteAll(file.path(), bytes);
+  for (bool lazy : {false, true}) {
+    PreparedWorkspace loaded;
+    loaded.k = 99;  // must be reset, not half-filled
+    SnapshotLoadOptions options;
+    options.lazy = lazy;
+    Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded, nullptr);
+    EXPECT_TRUE(s.IsInvalidArgument()) << "lazy=" << lazy << " " << s.ToString();
+    EXPECT_NE(s.message().find(expect), std::string::npos)
+        << "lazy=" << lazy << " " << s.ToString();
+    EXPECT_TRUE(loaded.components.empty()) << "lazy=" << lazy;
+    EXPECT_EQ(loaded.k, 0u) << "lazy=" << lazy;
   }
-  return bytes;
 }
 
-/// A v1/v2-style component payload: unscored (u, v) pair block. Layout is
-/// identical to what pre-v3 writers emitted.
-std::string PlainComponentPayload(
-    uint32_t n, const std::vector<std::pair<uint32_t, uint32_t>>& edges,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
-  std::vector<std::vector<uint32_t>> adj(n);
-  for (auto [u, v] : edges) {
-    adj[u].push_back(v);
-    adj[v].push_back(u);
-  }
-  for (auto& row : adj) std::sort(row.begin(), row.end());
-  std::string comp;
-  PutU32(&comp, n);
-  PutU64(&comp, edges.size());
-  for (const auto& row : adj) {
-    for (uint32_t v : row) PutU32(&comp, v);
-  }
-  for (const auto& row : adj) PutU32(&comp, static_cast<uint32_t>(row.size()));
-  for (uint32_t u = 0; u < n; ++u) PutU32(&comp, u);  // to_parent: identity
-  PutU64(&comp, pairs.size());
-  for (auto [a, b] : pairs) {
-    PutU32(&comp, a);
-    PutU32(&comp, b);
-  }
-  return comp;
+TEST(Snapshot, SpecWriterMatchesTheLibraryWriter) {
+  // The hostile cases below are only meaningful if the spec-built file is
+  // otherwise exactly what the library writes: build one valid workspace
+  // both ways and compare bytes. Triangle, scored, one active pair (0,1)
+  // and one reserve pair (1,2).
+  SpecComponent c;
+  c.adjacency = {{1, 2}, {0, 2}, {0, 1}};
+  c.active = {{{1, 0.3}}, {{0, 0.3}}, {}};
+  c.reserve = {{}, {{2, 0.6}}, {{1, 0.6}}};
+  const std::string spec_bytes = SpecV4File(ScoredMeta(), {c});
+  TempFile spec_file("spec.krws");
+  WriteAll(spec_file.path(), spec_bytes);
+  PreparedWorkspace loaded;
+  Status s = LoadWorkspaceSnapshot(spec_file.path(), &loaded);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(loaded.components.size(), 1u);
+  EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 1u);
+  EXPECT_EQ(loaded.components[0].dissimilar.num_reserve_pairs(), 1u);
+  TempFile resaved("spec_resaved.krws");
+  ASSERT_TRUE(SaveWorkspaceSnapshot(loaded, resaved.path()).ok());
+  EXPECT_EQ(ReadAll(resaved.path()), spec_bytes);
 }
 
 TEST(Snapshot, AsymmetricAdjacencyIsRejected) {
-  // Hand-crafted component with valid envelope checksums whose adjacency
-  // violates the symmetry invariant only in the direction the loader must
-  // probe explicitly: rows {0: [], 1: [0], 2: [0]} — every row is sorted,
-  // in-range, and self-loop free, so only the reverse-edge probe can catch
-  // it.
-  std::string comp;
-  PutU32(&comp, 3);  // n
-  PutU64(&comp, 1);  // num_edges => 2 directed entries
-  PutU32(&comp, 0);  // row 1: [0]
-  PutU32(&comp, 0);  // row 2: [0]
-  PutU32(&comp, 0);  // degrees: 0, 1, 1
-  PutU32(&comp, 1);
-  PutU32(&comp, 1);
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);  // to_parent
-  PutU64(&comp, 0);                                   // no dissimilar pairs
-
-  std::string bytes = FileWithSections({{1, MetaPayload(1)}, {2, comp}});
-
-  TempFile file("asym.krws");
-  WriteAll(file.path(), bytes);
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("asymmetric"), std::string::npos)
-      << s.ToString();
-}
-
-TEST(Snapshot, GraphVersionRoundTrips) {
-  auto dataset = test::MakeRandomGeo(50, 200, 12);
-  PreparedWorkspace ws = PrepareFixture(dataset, 2, 0.4);
-  ws.version = 41;  // as if 41 update batches had been applied
-  TempFile file("version_field.krws");
-  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
-  PreparedWorkspace loaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
-  EXPECT_EQ(loaded.version, 41u);
+  // Adjacency rows {0: [], 1: [0], 2: [0]}: every row is sorted, in-range
+  // and self-loop free and the degree sum matches one edge, so only the
+  // reverse-edge probe can catch it.
+  SpecComponent c;
+  c.adjacency = {{}, {0}, {0}};
+  ExpectComponentRejected(SpecV4File(SpecMeta{}, {c}), "asymmetric adjacency");
 }
 
 TEST(Snapshot, OverflowCraftedPairCountIsRejected) {
-  // A component whose declared pair count is 2^61: 8 * num_pairs wraps to 0
-  // modulo 2^64, so the naive `payload.size() == expected + 8 * num_pairs`
-  // equality holds for a payload with no pair bytes at all. The divide-first
-  // bound must reject it before that arithmetic runs.
-  std::string comp;
-  PutU32(&comp, 3);  // n, isolated vertices
-  PutU64(&comp, 0);  // num_edges
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, 0);  // degrees
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);  // to_parent
-  PutU64(&comp, uint64_t{1} << 61);                   // hostile pair count
-
-  TempFile file("pair_overflow.krws");
-  WriteAll(file.path(), FileWithSections({{1, MetaPayload(1)}, {2, comp}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("pair count exceeds"), std::string::npos)
-      << s.ToString();
-  EXPECT_TRUE(loaded.components.empty());
+  // Three isolated vertices declaring 2^61 pairs: the id array would hold
+  // L = 2^62 entries, and 4 * L wraps to 0 modulo 2^64, so the layout
+  // equation alone would accept a blob with no id bytes at all. The
+  // divide-first bound must reject it before that arithmetic runs.
+  SpecComponent c;
+  c.adjacency = {{}, {}, {}};
+  c.num_pairs = uint64_t{1} << 61;
+  ExpectFileRejected(SpecV4File(SpecMeta{}, {c}), "counts exceed the payload");
 }
 
 TEST(Snapshot, KZeroMetaIsRejected) {
   // No writer produces k = 0 (PrepareWorkspace rejects it), and the
   // prepared-components mining overloads downstream of a load never
   // re-validate k — the loader is the ingress that must close the hole.
-  TempFile file("kzero.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, MetaPayload(0, /*k=*/0)}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("k must be a positive"), std::string::npos)
-      << s.ToString();
-  EXPECT_EQ(loaded.k, 0u) << "output must be reset, not half-filled";
+  SpecMeta meta;
+  meta.k = 0;
+  ExpectFileRejected(SpecV4File(meta, {}), "k must be a positive");
 }
 
 TEST(Snapshot, HostileComponentCountIsRejectedUpFront) {
   // num_components near 2^63 cannot possibly fit in the file; the loader
-  // must fail from the header bound, not by attempting that many section
-  // reads (or a huge reserve).
-  TempFile file("comp_overflow.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, MetaPayload(uint64_t{1} << 62)}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("component count exceeds"), std::string::npos)
-      << s.ToString();
+  // must fail from the table bound, not by walking that many entries (or
+  // reserving room for them).
+  SpecMeta meta;
+  meta.num_components = uint64_t{1} << 62;
+  ExpectFileRejected(SpecV4File(meta, {}), "component count exceeds");
 }
 
-// --- Format history: v1 and v2 files must keep loading (as unscored,
-// single-r workspaces), and saving them re-emits v3. ------------------------
-
-TEST(Snapshot, V2FileLoadsAsSingleThresholdWorkspaceAndResavesAsV3) {
-  // A 4-cycle with the two diagonals dissimilar — a valid 2-core substrate
-  // in the exact byte layout version-2 builds wrote.
-  std::string comp = PlainComponentPayload(
-      4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}}, {{0, 2}, {1, 3}});
-  TempFile file("v2.krws");
-  WriteAll(file.path(),
-           FileWithSections(
-               {{1, MetaPayloadV2(1, /*k=*/2, /*threshold=*/1.0,
-                                  /*graph_version=*/7)},
-                {2, comp}},
-               /*file_version=*/2));
-  PreparedWorkspace loaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
-  EXPECT_EQ(loaded.k, 2u);
-  EXPECT_EQ(loaded.version, 7u);
-  EXPECT_FALSE(loaded.scored);
-  EXPECT_DOUBLE_EQ(loaded.score_cover, loaded.threshold)
-      << "pre-v3 files serve their exact threshold only";
-  ASSERT_EQ(loaded.components.size(), 1u);
-  EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 2u);
-  EXPECT_FALSE(loaded.components[0].dissimilar.has_scores());
-
-  // Deriving at any other threshold must be rejected cleanly.
-  PipelineOptions pipe;
-  PreparedWorkspace derived;
-  EXPECT_TRUE(
-      DeriveWorkspace(loaded, 2, 0.5, pipe, &derived).IsInvalidArgument());
-
-  // Re-saving writes the current version; the round trip stays lossless.
-  TempFile resaved("v2_resaved.krws");
-  ASSERT_TRUE(SaveWorkspaceSnapshot(loaded, resaved.path()).ok());
-  std::string bytes = ReadAll(resaved.path());
-  uint32_t written_version = 0;
-  std::memcpy(&written_version, bytes.data() + 8, sizeof(written_version));
-  EXPECT_EQ(written_version, kSnapshotVersion);
-  PreparedWorkspace reloaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(resaved.path(), &reloaded).ok());
-  EXPECT_EQ(reloaded.version, 7u);
-  ExpectComponentsEqual(loaded.components, reloaded.components);
-}
-
-TEST(Snapshot, V1FileLoadsWithGraphVersionZero) {
-  std::string comp = PlainComponentPayload(
-      3, {{0, 1}, {1, 2}, {0, 2}}, {});
-  TempFile file("v1.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, MetaPayloadV1(1, /*k=*/2,
-                                               /*threshold=*/0.25)},
-                             {2, comp}},
-                            /*file_version=*/1));
-  PreparedWorkspace loaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
-  EXPECT_EQ(loaded.k, 2u);
-  EXPECT_EQ(loaded.version, 0u) << "v1 predates the graph version";
-  EXPECT_FALSE(loaded.scored);
-  EXPECT_DOUBLE_EQ(loaded.threshold, 0.25);
-  ASSERT_EQ(loaded.components.size(), 1u);
-}
-
-// --- Hostile v3 score annotations: every classification invariant the
+// --- Hostile score annotations: every classification invariant the
 // derivation layer relies on is enforced at the ingress. --------------------
 
-namespace hostile_v3 {
-
-/// Meta for a scored similarity-metric workspace: serve r=0.5, cover r=0.8.
-std::string ScoredMeta(uint64_t num_components, double threshold = 0.5,
-                       double cover = 0.8, uint32_t flags = 1) {
-  std::string meta;
-  PutU32(&meta, 2);  // k
-  PutDouble(&meta, threshold);
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, 0);  // graph version
-  PutU32(&meta, flags);
-  PutDouble(&meta, cover);
-  PutU64(&meta, num_components);
-  return meta;
-}
-
-/// A triangle component with one active and one reserve (u,v,score) entry,
-/// scores supplied by the test.
-std::string ScoredComponent(double active_score, double reserve_score) {
-  std::string comp;
-  PutU32(&comp, 3);  // n
-  PutU64(&comp, 3);  // triangle
-  // adjacency rows: 0:[1,2] 1:[0,2] 2:[0,1]
-  const uint32_t adjacency[] = {1, 2, 0, 2, 0, 1};
-  for (uint32_t v : adjacency) PutU32(&comp, v);
-  for (int i = 0; i < 3; ++i) PutU32(&comp, 2);       // degrees
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);  // to_parent
-  PutU64(&comp, 1);  // active pairs
-  PutU32(&comp, 0);
-  PutU32(&comp, 1);
-  PutDouble(&comp, active_score);
-  PutU64(&comp, 1);  // reserve pairs
-  PutU32(&comp, 1);
-  PutU32(&comp, 2);
-  PutDouble(&comp, reserve_score);
-  return comp;
-}
-
-}  // namespace hostile_v3
-
 TEST(Snapshot, ScoredPairOnWrongSideOfThresholdIsRejected) {
-  using hostile_v3::ScoredComponent;
-  using hostile_v3::ScoredMeta;
   struct Case {
     double active, reserve;
     const char* expect;
@@ -514,55 +539,36 @@ TEST(Snapshot, ScoredPairOnWrongSideOfThresholdIsRejected) {
       {std::numeric_limits<double>::quiet_NaN(), 0.6, "non-finite"},
       {0.3, std::numeric_limits<double>::infinity(), "non-finite"},
   };
-  for (const Case& c : cases) {
-    TempFile file("hostile_scored.krws");
-    WriteAll(file.path(),
-             FileWithSections({{1, ScoredMeta(1)},
-                               {2, ScoredComponent(c.active, c.reserve)}}));
-    PreparedWorkspace loaded;
-    Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-    EXPECT_TRUE(s.IsInvalidArgument())
-        << "active=" << c.active << " reserve=" << c.reserve;
-    EXPECT_NE(s.message().find(c.expect), std::string::npos) << s.ToString();
-    EXPECT_TRUE(loaded.components.empty());
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "active=" << tc.active << " reserve=" << tc.reserve);
+    // A triangle with active pair (0,1) and reserve pair (1,2).
+    SpecComponent c;
+    c.adjacency = {{1, 2}, {0, 2}, {0, 1}};
+    c.active = {{{1, tc.active}}, {{0, tc.active}}, {}};
+    c.reserve = {{}, {{2, tc.reserve}}, {{1, tc.reserve}}};
+    ExpectComponentRejected(SpecV4File(ScoredMeta(), {c}), tc.expect);
   }
 }
 
 TEST(Snapshot, PairListedInBothBlocksIsRejected) {
-  using hostile_v3::ScoredMeta;
-  std::string comp;
-  PutU32(&comp, 3);
-  PutU64(&comp, 3);
-  const uint32_t adjacency[] = {1, 2, 0, 2, 0, 1};
-  for (uint32_t v : adjacency) PutU32(&comp, v);
-  for (int i = 0; i < 3; ++i) PutU32(&comp, 2);
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);
-  PutU64(&comp, 1);
-  PutU32(&comp, 0);  // active {0,1} @ 0.3
-  PutU32(&comp, 1);
-  PutDouble(&comp, 0.3);
-  PutU64(&comp, 1);
-  PutU32(&comp, 0);  // the same pair again, as reserve @ 0.6
-  PutU32(&comp, 1);
-  PutDouble(&comp, 0.6);
-  TempFile file("dup_blocks.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, ScoredMeta(1)}, {2, comp}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("both active and reserve"), std::string::npos)
-      << s.ToString();
+  // Pair (0,1) active at 0.3 and again reserve at 0.6: each segment is
+  // sorted, classified and mirrored on its own.
+  SpecComponent c;
+  c.adjacency = {{1, 2}, {0, 2}, {0, 1}};
+  c.active = {{{1, 0.3}}, {{0, 0.3}}, {}};
+  c.reserve = {{{1, 0.6}}, {{0, 0.6}}, {}};
+  ExpectComponentRejected(SpecV4File(ScoredMeta(), {c}),
+                          "both active and reserve");
 }
 
 TEST(Snapshot, MalformedScoredMetaIsRejected) {
-  using hostile_v3::ScoredMeta;
   // Cover looser than serve (similarity metric: smaller), unknown flag
   // bits, and a widened cover on an unscored file.
-  const std::string bad_metas[] = {
-      ScoredMeta(0, /*threshold=*/0.5, /*cover=*/0.3, /*flags=*/1),
-      ScoredMeta(0, 0.5, 0.8, /*flags=*/8),
-      ScoredMeta(0, 0.5, 0.8, /*flags=*/0),
+  const SpecMeta bad_metas[] = {
+      ScoredMeta(/*threshold=*/0.5, /*cover=*/0.3, /*flags=*/1),
+      ScoredMeta(0.5, 0.8, /*flags=*/8),
+      ScoredMeta(0.5, 0.8, /*flags=*/0),
   };
   const char* expects[] = {
       "score cover looser",
@@ -570,13 +576,8 @@ TEST(Snapshot, MalformedScoredMetaIsRejected) {
       "unscored workspace with a widened score cover",
   };
   for (size_t i = 0; i < 3; ++i) {
-    TempFile file("bad_meta.krws");
-    WriteAll(file.path(), FileWithSections({{1, bad_metas[i]}}));
-    PreparedWorkspace loaded;
-    Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-    EXPECT_TRUE(s.IsInvalidArgument()) << "case " << i;
-    EXPECT_NE(s.message().find(expects[i]), std::string::npos)
-        << s.ToString();
+    SCOPED_TRACE(::testing::Message() << "case " << i);
+    ExpectFileRejected(SpecV4File(bad_metas[i], {}), expects[i]);
   }
 }
 

@@ -241,7 +241,7 @@ TEST(SnapshotV4, UpdaterPromotesLazyComponentsBeforeMutating) {
   EXPECT_EQ(test::DiffWorkspaces(eager, lazy), "");
 }
 
-TEST(SnapshotV4, V3V4RoundTripIsByteIdenticalIncludingReserveSegments) {
+TEST(SnapshotV4, RoundTripIsByteIdenticalIncludingReserveSegments) {
   auto dataset = test::MakeRandomGeo(130, 750, 9);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   size_t reserve_pairs = 0;
@@ -250,31 +250,27 @@ TEST(SnapshotV4, V3V4RoundTripIsByteIdenticalIncludingReserveSegments) {
   }
   ASSERT_GT(reserve_pairs, 0u) << "fixture must exercise reserve segments";
 
-  TempFile v3a("rt_v3a.krws"), v4("rt_v4.krws"), v3b("rt_v3b.krws"),
-      v4b("rt_v4b.krws");
-  ASSERT_TRUE(
-      SaveWorkspaceSnapshot(ws, v3a.path(), kSnapshotVersionSectioned).ok());
+  TempFile first("rt_first.krws"), eager_copy("rt_eager.krws"),
+      lazy_copy("rt_lazy.krws");
+  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, first.path()).ok());
 
-  PreparedWorkspace from_v3;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(v3a.path(), &from_v3).ok());
-  ASSERT_TRUE(SaveWorkspaceSnapshot(from_v3, v4.path()).ok());
-
-  PreparedWorkspace from_v4;
+  PreparedWorkspace from_eager;
   SnapshotLoadInfo info;
-  ASSERT_TRUE(
-      LoadWorkspaceSnapshot(v4.path(), SnapshotLoadOptions{}, &from_v4, &info)
-          .ok());
+  ASSERT_TRUE(LoadWorkspaceSnapshot(first.path(), SnapshotLoadOptions{},
+                                    &from_eager, &info)
+                  .ok());
   EXPECT_EQ(info.format_version, 4u);
-  EXPECT_EQ(test::DiffWorkspaces(ws, from_v4), "");
+  EXPECT_EQ(test::DiffWorkspaces(ws, from_eager), "");
 
+  // Save, load, save again: the bytes are reproducible from either load
+  // mode, reserve segments included.
+  ASSERT_TRUE(SaveWorkspaceSnapshot(from_eager, eager_copy.path()).ok());
+  EXPECT_EQ(ReadAll(first.path()), ReadAll(eager_copy.path()));
+  PreparedWorkspace from_lazy;
   ASSERT_TRUE(
-      SaveWorkspaceSnapshot(from_v4, v3b.path(), kSnapshotVersionSectioned)
-          .ok());
-  EXPECT_EQ(ReadAll(v3a.path()), ReadAll(v3b.path()));
-
-  // And the v4 bytes are reproducible too.
-  ASSERT_TRUE(SaveWorkspaceSnapshot(from_v3, v4b.path()).ok());
-  EXPECT_EQ(ReadAll(v4.path()), ReadAll(v4b.path()));
+      LoadWorkspaceSnapshot(first.path(), Lazy(), &from_lazy, nullptr).ok());
+  ASSERT_TRUE(SaveWorkspaceSnapshot(from_lazy, lazy_copy.path()).ok());
+  EXPECT_EQ(ReadAll(first.path()), ReadAll(lazy_copy.path()));
 }
 
 TEST(SnapshotV4, TornFooterIsRejected) {
@@ -421,10 +417,8 @@ TEST(SnapshotV4, RegistryRecordsLoadModeVersionAndTiming) {
   auto dataset = test::MakeRandomGeo(100, 700, 37);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  TempFile v4("reg_v4.krws"), v3("reg_v3.krws");
+  TempFile v4("reg_v4.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, v4.path()).ok());
-  ASSERT_TRUE(
-      SaveWorkspaceSnapshot(ws, v3.path(), kSnapshotVersionSectioned).ok());
 
   WorkspaceRegistry registry;
   ASSERT_TRUE(registry
@@ -432,7 +426,7 @@ TEST(SnapshotV4, RegistryRecordsLoadModeVersionAndTiming) {
                                    WorkspaceRegistry::SnapshotLoadMode::kLazy)
                   .ok());
   ASSERT_TRUE(registry
-                  .AddFromSnapshot("eager3", v3.path(),
+                  .AddFromSnapshot("eager4", v4.path(),
                                    WorkspaceRegistry::SnapshotLoadMode::kEager)
                   .ok());
   PreparedWorkspace built = ScoredFixture(dataset, 3, 0.35, 0.2);
@@ -443,10 +437,10 @@ TEST(SnapshotV4, RegistryRecordsLoadModeVersionAndTiming) {
       EXPECT_EQ(e.snapshot_version, 4u);
       EXPECT_TRUE(e.lazy_loaded);
       EXPECT_GE(e.load_seconds, 0.0);
-    } else if (e.name == "eager3") {
-      EXPECT_EQ(e.snapshot_version, 3u);
+    } else if (e.name == "eager4") {
+      EXPECT_EQ(e.snapshot_version, 4u);
       EXPECT_FALSE(e.lazy_loaded);
-      EXPECT_FALSE(e.mapped);
+      EXPECT_GE(e.load_seconds, 0.0);
     } else {
       EXPECT_EQ(e.snapshot_version, 0u) << "built in-process, no snapshot";
       EXPECT_FALSE(e.lazy_loaded);

@@ -6,9 +6,10 @@ Three passes over README.md and docs/*.md:
 1. Relative markdown links resolve to files that exist.
 2. Every --flag used in a documented command line for one of this repo's
    binaries is actually parsed by that binary's source.
-3. Every flag parsed by examples/krcore_cli.cpp and
-   examples/krcore_server.cpp is mentioned (as ``--flag``) somewhere in
-   the documentation, so new flags cannot land undocumented.
+3. Every flag parsed by examples/krcore_cli.cpp,
+   examples/krcore_server.cpp and tools/snapshot_tool.cc is mentioned
+   (as ``--flag``) somewhere in the documentation, so new flags cannot
+   land undocumented.
 
 Exit status is non-zero iff any check fails; findings are printed one per
 line as ``file: message``.
@@ -39,7 +40,7 @@ FLAG_SOURCES = {
 BENCH_COMMON = ["src/bench_support/experiment.cc"]
 
 # Binaries whose full flag surface must appear in the docs (pass 3).
-MUST_DOCUMENT = ["krcore_cli", "krcore_server"]
+MUST_DOCUMENT = ["krcore_cli", "krcore_server", "snapshot_tool"]
 
 PARSE_RE = re.compile(
     r'options\s*\.\s*(?:Has|GetString|GetInt|GetDouble|GetBool)\s*\(\s*"([A-Za-z0-9_]+)"'

@@ -1,15 +1,15 @@
-// Workspace snapshot inspector and format converter.
+// Workspace snapshot inspector and validating rewriter.
 //
 // Usage:
 //   snapshot_tool --info=ws.krws [--json]
-//   snapshot_tool --convert=ws_v3.krws --out=ws_v4.krws [--format=4]
+//   snapshot_tool --convert=ws.krws --out=ws_copy.krws
 //
-// `--info` walks the file's headers, meta and checksums (v1-v4) without
-// requiring full structural validation — a bit-flipped section prints as
-// `checksum BAD` instead of aborting, which is the point: this is the
-// first tool to reach for on a torn-file report. `--convert` does a full
-// validated load followed by a save in the requested format version, so a
-// successful conversion doubles as an integrity check.
+// `--info` walks the file's header, meta, table and checksums without
+// requiring the component blobs to pass structural validation — a
+// bit-flipped component prints as `checksum BAD` instead of aborting,
+// which is the point: this is the first tool to reach for on a torn-file
+// report. `--convert` does a full validated load followed by a rewrite, so
+// a successful conversion doubles as an integrity check.
 //
 // Exits 0 on success, 1 on any error (unreadable file, failed validation).
 
@@ -90,16 +90,15 @@ int main(int argc, char** argv) {
   if (options.Has("help") || argc == 1) {
     std::printf(
         "snapshot_tool --info=PATH [--json]\n"
-        "snapshot_tool --convert=SRC --out=DST [--format=N]\n"
-        "Inspects and converts (k,r)-core workspace snapshot files.\n"
+        "snapshot_tool --convert=SRC --out=DST\n"
+        "Inspects and rewrites (k,r)-core workspace snapshot files.\n"
         "  --info=PATH     print version, identity, and per-section\n"
-        "                  sizes/checksums for any v1-v4 snapshot; damaged\n"
-        "                  sections print as BAD instead of aborting\n"
+        "                  sizes/checksums; damaged component sections\n"
+        "                  print as BAD instead of aborting\n"
         "  --json          emit --info output as one JSON object\n"
-        "  --convert=SRC   load SRC (full validation), rewrite as --format\n"
-        "  --out=DST       destination path for --convert\n"
-        "  --format=N      output format version for --convert: 3 or 4\n"
-        "                  (default 4, the mmap-ready layout)\n");
+        "  --convert=SRC   load SRC with full validation and rewrite it,\n"
+        "                  an integrity check that yields a fresh copy\n"
+        "  --out=DST       destination path for --convert\n");
     return 0;
   }
 
@@ -121,18 +120,15 @@ int main(int argc, char** argv) {
     const std::string src = options.GetString("convert", "");
     const std::string dst = options.GetString("out", "");
     if (dst.empty()) return Fail("--convert needs --out=DST");
-    const int64_t format = options.GetInt("format", 4);
     PreparedWorkspace ws;
     if (Status s = LoadWorkspaceSnapshot(src, &ws); !s.ok()) {
       return Fail(src + ": " + s.message());
     }
-    if (Status s = SaveWorkspaceSnapshot(
-            ws, dst, static_cast<uint32_t>(format));
-        !s.ok()) {
+    if (Status s = SaveWorkspaceSnapshot(ws, dst); !s.ok()) {
       return Fail(dst + ": " + s.message());
     }
-    std::fprintf(stderr, "converted %s -> %s (v%lld, %zu components)\n",
-                 src.c_str(), dst.c_str(), (long long)format,
+    std::fprintf(stderr, "converted %s -> %s (v%u, %zu components)\n",
+                 src.c_str(), dst.c_str(), kSnapshotVersion,
                  ws.components.size());
     return 0;
   }
