@@ -113,9 +113,7 @@ bool MaximalCheckSearcher::AnyAttached(const std::vector<VertexId>& core,
 }
 
 VertexId MaximalCheckSearcher::ChooseConflicted(
-    const std::vector<VertexId>& cand, uint32_t k, VertexOrder order,
-    double lambda) {
-  (void)k;
+    const std::vector<VertexId>& cand, VertexOrder order, double lambda) {
   for (VertexId u : cand) role_[u] = 1;
   VertexId best = kInvalidVertex;
   double best_score = -1e300;
@@ -162,7 +160,7 @@ MaximalVerdict MaximalCheckSearcher::Search(const SearchContext& ctx,
   Peel(ctx.k(), cand);
   if (cand.empty()) return MaximalVerdict::kMaximal;
 
-  VertexId w = ChooseConflicted(cand, ctx.k(), order, lambda);
+  VertexId w = ChooseConflicted(cand, order, lambda);
   if (w == kInvalidVertex) {
     // Conflict-free: the core extends iff any survivor attaches to it.
     return AnyAttached(core, cand) ? MaximalVerdict::kNotMaximal

@@ -46,7 +46,7 @@ class MaximalCheckSearcher {
   void Peel(uint32_t k, std::vector<VertexId>& cand);
   bool AnyAttached(const std::vector<VertexId>& core,
                    const std::vector<VertexId>& cand);
-  VertexId ChooseConflicted(const std::vector<VertexId>& cand, uint32_t k,
+  VertexId ChooseConflicted(const std::vector<VertexId>& cand,
                             VertexOrder order, double lambda);
   MaximalVerdict Search(const SearchContext& ctx,
                         const std::vector<VertexId>& core,

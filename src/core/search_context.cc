@@ -208,6 +208,7 @@ void SearchContext::RewindTo(size_t mark) {
     }
   }
   dead_ = false;
+  mc_connected_ = false;
   peel_queue_.clear();
 }
 
@@ -215,6 +216,7 @@ void SearchContext::RewindTo(size_t mark) {
 
 void SearchContext::DiscardFromC(VertexId u) {
   KRCORE_DCHECK(state_[u] == VertexState::kInC);
+  mc_connected_ = false;
   // Destination: E keeps discarded vertices that are similar to all of M
   // (Sec 5.2's definition of the relevant excluded set).
   bool to_e = track_excluded_ && dp_m_[u] == 0;
@@ -290,28 +292,37 @@ void SearchContext::DrainPeel() {
 
 void SearchContext::EnforceConnectivity() {
   while (!dead_) {
-    if (m_list_.empty()) return;
-    // BFS over M ∪ C starting from one M vertex.
-    ++bfs_epoch_;
+    if (mc_connected_ || m_list_.empty()) return;
+    // Graph search over M ∪ C starting from one M vertex. It stops as soon
+    // as every member is marked: the rest of the stack cannot change the
+    // verdict, and a disconnected M ∪ C always runs to exhaustion.
+    if (++bfs_epoch_ == 0) {
+      std::fill(bfs_mark_.begin(), bfs_mark_.end(), 0);
+      bfs_epoch_ = 1;
+    }
     bfs_stack_.clear();
+    const VertexId members = m_list_.size() + c_list_.size();
     VertexId start = m_list_.First();
     bfs_mark_[start] = bfs_epoch_;
     bfs_stack_.push_back(start);
-    VertexId reached = 0;
-    while (!bfs_stack_.empty()) {
+    VertexId marked = 1;
+    while (!bfs_stack_.empty() && marked < members) {
       VertexId u = bfs_stack_.back();
       bfs_stack_.pop_back();
-      ++reached;
       for (VertexId v : comp_->graph.neighbors(u)) {
         VertexState sv = state_[v];
         if ((sv == VertexState::kInC || sv == VertexState::kInM) &&
             bfs_mark_[v] != bfs_epoch_) {
           bfs_mark_[v] = bfs_epoch_;
           bfs_stack_.push_back(v);
+          ++marked;
         }
       }
     }
-    if (reached == m_list_.size() + c_list_.size()) return;  // connected
+    if (marked == members) {
+      mc_connected_ = true;
+      return;
+    }
 
     // Any unreached M vertex can never re-connect: the branch is dead.
     for (VertexId u = m_list_.First(); u != kInvalidVertex;

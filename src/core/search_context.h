@@ -149,8 +149,8 @@ class SearchContext {
     kDpC,
     kDpM,
     kDpE,
-    kPairsC,    // global DP(C) delta (payload in delta64_)
-    kEdgesMc,   // global edge-count delta (payload in delta64_)
+    kPairsC,    // global DP(C) delta (payload in TrailEntry::delta)
+    kEdgesMc,   // global edge-count delta (payload in TrailEntry::delta)
   };
   struct TrailEntry {
     Op op;
@@ -183,7 +183,7 @@ class SearchContext {
   void DrainPeel();
   /// Discards C vertices unreachable from M (when M is non-empty); kills the
   /// branch when M itself is not connected within M ∪ C. Loops with DrainPeel
-  /// until a fixpoint.
+  /// until a fixpoint. Returns at once while mc_connected_ holds.
   void EnforceConnectivity();
 
   const ComponentContext* comp_;
@@ -198,6 +198,10 @@ class SearchContext {
   uint64_t edges_mc_ = 0;
   VertexId sf_count_ = 0;
   bool dead_ = false;
+  // Set when the connectivity BFS reached all of M ∪ C from a non-empty M;
+  // cleared whenever a vertex leaves M ∪ C (DiscardFromC) and on RewindTo.
+  // Moving a vertex from C to M keeps the vertex set, so the proof stands.
+  bool mc_connected_ = false;
 
   std::vector<TrailEntry> trail_;
   std::vector<VertexId> peel_queue_;

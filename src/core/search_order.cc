@@ -30,41 +30,58 @@ VertexId HighestDegreeCandidate(const SearchContext& ctx,
 
 }  // namespace
 
+const SearchOrderPolicy::Victims& SearchOrderPolicy::VictimsOf(
+    const SearchContext& ctx, VertexId x) {
+  Victims& v = victims_[x];
+  if (v.stamp != memo_epoch_) {
+    v.stamp = memo_epoch_;
+    v.count = 0;
+    v.dp_sum = 0;
+    for (VertexId y : ctx.component().graph.neighbors(x)) {
+      if (ctx.state(y) == VertexState::kInC && ctx.deg_mc(y) == ctx.k()) {
+        ++v.count;
+        v.dp_sum += ctx.dp_c(y);
+      }
+    }
+  }
+  return v;
+}
+
 SearchOrderPolicy::DeltaEstimate SearchOrderPolicy::EstimateDeltas(
     const SearchContext& ctx, VertexId u) {
   const ComponentContext& comp = ctx.component();
+  const uint64_t k = ctx.k();
   const double total_dp = static_cast<double>(ctx.dissimilar_pairs_c());
   const double total_edges = static_cast<double>(ctx.edges_mc());
   DeltaEstimate est;
 
+  // The drops are sums of integer counters, accumulated exactly as integers
+  // and converted once (exact below 2^53), so memoized sums give the same
+  // doubles as summing term by term.
+
   // --- Expand branch: the directly pruned vertices are u's dissimilar
-  // candidates (Thm 3); second hop: their neighbors in C that would fall
-  // below degree k (Thm 2). The Sec 7.2 estimate only looks two hops out;
-  // we additionally subsample large pruned sets (extrapolating linearly) so
-  // a node's ordering never costs more than O(|C| * kSampleCap * d).
+  // candidates (Thm 3) — dp_c(u) of them; second hop: their neighbors in C
+  // that would fall below degree k (Thm 2). The Sec 7.2 estimate only looks
+  // two hops out; we additionally subsample large pruned sets (the first
+  // kSampleCap in row order, extrapolating linearly) so a node's ordering
+  // never costs more than O(|C| * kSampleCap * d).
   {
-    constexpr size_t kSampleCap = 24;
-    std::vector<VertexId>& removed = scratch_removed_;
-    removed.clear();
+    constexpr uint32_t kSampleCap = 24;
+    const uint32_t pruned = ctx.dp_c(u);
+    uint64_t dp_sum = 0, edge_sum = 0;
+    uint32_t sampled = 0;
     for (VertexId x : comp.dissimilar[u]) {
-      if (ctx.state(x) == VertexState::kInC) removed.push_back(x);
+      if (sampled == kSampleCap) break;
+      if (ctx.state(x) != VertexState::kInC) continue;
+      const Victims& v = VictimsOf(ctx, x);
+      dp_sum += ctx.dp_c(x) + v.dp_sum;
+      edge_sum += ctx.deg_mc(x) + k * v.count;
+      ++sampled;
     }
-    double dp_drop = 0.0, edge_drop = 0.0;
-    size_t sampled = std::min(removed.size(), kSampleCap);
-    for (size_t i = 0; i < sampled; ++i) {
-      VertexId x = removed[i];
-      dp_drop += ctx.dp_c(x);
-      edge_drop += ctx.deg_mc(x);
-      // Two-hop: structure victims among x's neighbors.
-      for (VertexId y : comp.graph.neighbors(x)) {
-        if (ctx.state(y) == VertexState::kInC && ctx.deg_mc(y) == ctx.k()) {
-          dp_drop += ctx.dp_c(y);
-          edge_drop += ctx.deg_mc(y);
-        }
-      }
-    }
-    if (sampled > 0 && sampled < removed.size()) {
-      double scale = static_cast<double>(removed.size()) / sampled;
+    double dp_drop = static_cast<double>(dp_sum);
+    double edge_drop = static_cast<double>(edge_sum);
+    if (sampled > 0 && sampled < pruned) {
+      double scale = static_cast<double>(pruned) / sampled;
       dp_drop *= scale;
       edge_drop *= scale;
     }
@@ -78,14 +95,9 @@ SearchOrderPolicy::DeltaEstimate SearchOrderPolicy::EstimateDeltas(
   // --- Shrink branch: u is removed; second hop: u's neighbors in C at the
   // degree boundary.
   {
-    double dp_drop = ctx.dp_c(u);
-    double edge_drop = ctx.deg_mc(u);
-    for (VertexId y : comp.graph.neighbors(u)) {
-      if (ctx.state(y) == VertexState::kInC && ctx.deg_mc(y) == ctx.k()) {
-        dp_drop += ctx.dp_c(y);
-        edge_drop += ctx.deg_mc(y);
-      }
-    }
+    const Victims& v = VictimsOf(ctx, u);
+    double dp_drop = static_cast<double>(ctx.dp_c(u) + v.dp_sum);
+    double edge_drop = static_cast<double>(ctx.deg_mc(u) + k * v.count);
     est.d1_shrink = total_dp > 0.0 ? std::min(1.0, dp_drop / total_dp) : 0.0;
     est.d2_shrink =
         total_edges > 0.0 ? std::min(1.0, edge_drop / total_edges) : 0.0;
@@ -134,12 +146,18 @@ BranchChoice SearchOrderPolicy::Choose(const SearchContext& ctx,
   }
 
   // Measurement-based orders. Initial stage: highest degree (Sec 7.1).
-  if (ctx.m_list().empty() && ctx.c_list().size() == 0) {
-    // unreachable; guard kept for clarity
-  }
   if (ctx.m_list().empty()) {
     choice.vertex = HighestDegreeCandidate(ctx, restrict_to_non_sf);
     return FinalizeBranch(choice, true);
+  }
+
+  // Open a fresh memo epoch; stamps restart from 0 when the epoch wraps.
+  if (victims_.size() < ctx.component().size()) {
+    victims_.resize(ctx.component().size());
+  }
+  if (++memo_epoch_ == 0) {
+    for (Victims& v : victims_) v.stamp = 0;
+    memo_epoch_ = 1;
   }
 
   double best_score = -1e300;

@@ -48,12 +48,26 @@ class SearchOrderPolicy {
   };
   DeltaEstimate EstimateDeltas(const SearchContext& ctx, VertexId u);
 
+  /// Two-hop structure victims of x: its neighbors in C sitting exactly at
+  /// degree k, which would peel if x left M ∪ C. Every victim's deg_mc is
+  /// k, so the count alone gives their edge sum.
+  struct Victims {
+    uint32_t stamp = 0;  // == memo_epoch_ iff the sums below are current
+    uint32_t count = 0;
+    uint64_t dp_sum = 0;  // Σ dp_c over the victims
+  };
+  /// The search state is frozen during one Choose() call, so each vertex's
+  /// victim sums are computed at most once per call and shared by every
+  /// candidate whose estimate reads them.
+  const Victims& VictimsOf(const SearchContext& ctx, VertexId x);
+
   VertexOrder order_;
   BranchOrder branch_order_;
   double lambda_;
   Rng rng_;
-  std::vector<VertexId> scratch_removed_;
   std::vector<VertexId> scratch_eligible_;
+  std::vector<Victims> victims_;  // allocated on first measured choice
+  uint32_t memo_epoch_ = 0;
 };
 
 }  // namespace krcore

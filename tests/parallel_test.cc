@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/enumerate.h"
 #include "core/maximum.h"
+#include "core/naive_enum.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "core/verify.h"
 #include "test_helpers.h"
 
 namespace krcore {
@@ -315,6 +319,57 @@ TEST(ParallelMax, SeedIncumbentDoesNotChangeMaximumSize) {
     EXPECT_EQ(seeded.best.size(), unseeded.best.size()) << "seed=" << seed;
   }
 }
+
+/// Schedule independence against the slow oracle, not just against the
+/// 1-thread run: on fixtures small enough for the exhaustive enumerator,
+/// AdvEnum returns exactly the naive maximal cores and AdvMax a valid core
+/// of the naive maximum size, for every thread count and split depth.
+class NaiveOracleScheduleSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(NaiveOracleScheduleSweep, AdvEnumAndAdvMaxMatchNaiveOnEverySchedule) {
+  constexpr uint32_t kK = 2;
+  for (bool geo : {true, false}) {
+    Dataset dataset = geo ? test::MakeRandomGeo(24, 80, GetParam())
+                          : test::MakeRandomKeyword(24, 80, GetParam());
+    SimilarityOracle oracle(&dataset.attributes, dataset.metric,
+                            geo ? 0.5 : 0.2);
+    auto naive = EnumerateMaximalCoresNaive(dataset.graph, oracle, kK);
+    ASSERT_TRUE(naive.status.ok()) << naive.status.ToString();
+    size_t naive_max = 0;
+    for (const auto& core : naive.cores) {
+      naive_max = std::max(naive_max, core.size());
+    }
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      for (uint32_t split_depth : {0u, 2u, 16u}) {
+        EnumOptions eopts = AdvEnumOptions(kK);
+        eopts.parallel.num_threads = threads;
+        eopts.parallel.split_depth = split_depth;
+        auto cores = EnumerateMaximalCores(dataset.graph, oracle, eopts);
+        ASSERT_TRUE(cores.status.ok());
+        EXPECT_EQ(cores.cores, naive.cores)
+            << "threads=" << threads << " split_depth=" << split_depth
+            << " geo=" << geo << " seed=" << GetParam();
+
+        MaxOptions mopts = AdvMaxOptions(kK);
+        mopts.parallel.num_threads = threads;
+        mopts.parallel.split_depth = split_depth;
+        auto best = FindMaximumCore(dataset.graph, oracle, mopts);
+        ASSERT_TRUE(best.status.ok());
+        EXPECT_EQ(best.best.size(), naive_max)
+            << "threads=" << threads << " split_depth=" << split_depth
+            << " geo=" << geo << " seed=" << GetParam();
+        if (!best.best.empty()) {
+          std::string why;
+          EXPECT_TRUE(IsKrCore(dataset.graph, oracle, kK, best.best, &why))
+              << why;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, NaiveOracleScheduleSweep,
+                         ::testing::Range<uint64_t>(0, 16));
 
 TEST(ParallelEnum, DeadlineStillPropagates) {
   auto dataset = test::MakeRandomGeo(40, 200, 5);

@@ -68,6 +68,32 @@ void CheckInvariants(const SearchContext& ctx) {
   EXPECT_EQ(ctx.dissimilar_pairs_c(), pairs_c / 2);
   EXPECT_EQ(ctx.edges_mc(), edges_mc / 2);
   EXPECT_EQ(ctx.sf_count(), sf);
+
+  // The connectivity reduction: a live context with M non-empty keeps
+  // M ∪ C connected (checked by a from-scratch graph search).
+  if (!ctx.dead() && !ctx.m_list().empty()) {
+    auto in_mc = [&](VertexId v) {
+      VertexState sv = ctx.state(v);
+      return sv == VertexState::kInC || sv == VertexState::kInM;
+    };
+    std::vector<bool> seen(n, false);
+    std::vector<VertexId> stack{ctx.m_list().First()};
+    seen[stack.back()] = true;
+    size_t reached = 0;
+    while (!stack.empty()) {
+      VertexId u = stack.back();
+      stack.pop_back();
+      ++reached;
+      for (VertexId v : comp.graph.neighbors(u)) {
+        if (in_mc(v) && !seen[v]) {
+          seen[v] = true;
+          stack.push_back(v);
+        }
+      }
+    }
+    EXPECT_EQ(reached, ctx.m_list().size() + ctx.c_list().size())
+        << "M ∪ C is disconnected";
+  }
 }
 
 TEST(VertexList, BasicOperations) {
@@ -292,50 +318,96 @@ TEST(SearchContext, ConnectivityReductionDiscardsDetachedCandidates) {
   CheckInvariants(ctx);
 }
 
-// Randomized trail torture: long random expand/shrink/rewind sequences keep
-// all counters consistent.
+/// A chain of 3–5-vertex cliques, neighbouring blocks joined by one or two
+/// edges, on random points. Its 2-core is full of cut vertices, so branch
+/// ops regularly disconnect M ∪ C — random dense graphs almost never do —
+/// and the connectivity reduction and its reuse of a standing proof are
+/// exercised.
+Dataset MakeCliqueChain(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<GeoPoint> points;
+  VertexId prev = 0, begin = 0;
+  for (int block = 0; block < 12; ++block) {
+    const VertexId size = 3 + static_cast<VertexId>(rng.NextBounded(3));
+    for (VertexId a = begin; a < begin + size; ++a) {
+      for (VertexId b = a + 1; b < begin + size; ++b) edges.emplace_back(a, b);
+      points.push_back({rng.NextDouble(), rng.NextDouble()});
+    }
+    const uint64_t links = block == 0 ? 0 : 1 + rng.NextBounded(2);
+    for (uint64_t link = 0; link < links; ++link) {
+      edges.emplace_back(prev + rng.NextBounded(begin - prev),
+                         begin + rng.NextBounded(size));
+    }
+    prev = begin;
+    begin += size;
+  }
+  Dataset dataset;
+  dataset.graph = MakeGraph(begin, edges);
+  dataset.attributes = AttributeTable::ForGeo(std::move(points));
+  dataset.metric = Metric::kEuclideanDistance;
+  return dataset;
+}
+
+// Randomized trail torture: long random expand/shrink/promote/rewind
+// sequences keep all counters consistent and M ∪ C connected.
 class SearchContextFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SearchContextFuzz, RandomOpsKeepInvariants) {
-  auto dataset = test::MakeRandomGeo(24, 80, GetParam());
-  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.5);
-  PipelineOptions opts;
-  opts.k = 2;
-  std::vector<ComponentContext> comps;
-  ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
-  Rng rng(GetParam() * 77 + 1);
-  for (auto& comp : comps) {
-    SearchContext ctx(comp, 2, true);
-    std::vector<size_t> marks;
-    for (int step = 0; step < 200; ++step) {
-      CheckInvariants(ctx);
-      double roll = rng.NextDouble();
-      if (roll < 0.3 && !marks.empty()) {
-        ctx.RewindTo(marks.back());
-        marks.pop_back();
-        continue;
-      }
-      if (ctx.c_list().empty()) {
-        if (marks.empty()) break;
-        ctx.RewindTo(marks.back());
-        marks.pop_back();
-        continue;
-      }
-      // Pick a random candidate.
-      auto members = ctx.c_list().Materialize();
-      VertexId u = members[rng.NextBounded(members.size())];
-      marks.push_back(ctx.Mark());
-      bool alive = rng.NextBernoulli(0.5) ? ctx.Expand(u) : ctx.Shrink(u);
-      if (!alive) {
-        ctx.RewindTo(marks.back());
-        marks.pop_back();
+  for (bool chain : {false, true}) {
+    auto dataset = chain ? MakeCliqueChain(GetParam())
+                         : test::MakeRandomGeo(24, 80, GetParam());
+    SimilarityOracle oracle(&dataset.attributes, dataset.metric,
+                            chain ? 0.8 : 0.5);
+    PipelineOptions opts;
+    opts.k = 2;
+    std::vector<ComponentContext> comps;
+    ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
+    Rng rng(GetParam() * 77 + 1);
+    for (auto& comp : comps) {
+      SearchContext ctx(comp, 2, true);
+      std::vector<size_t> marks;
+      for (int step = 0; step < 200; ++step) {
+        CheckInvariants(ctx);
+        double roll = rng.NextDouble();
+        if (roll < 0.3 && !marks.empty()) {
+          ctx.RewindTo(marks.back());
+          marks.pop_back();
+          continue;
+        }
+        if (ctx.c_list().empty()) {
+          if (marks.empty()) break;
+          ctx.RewindTo(marks.back());
+          marks.pop_back();
+          continue;
+        }
+        // Pick a random candidate; branch ops are followed by the retention
+        // step (as in AdvEnum/AdvMax) half of the time, and promotion also
+        // runs alone.
+        auto members = ctx.c_list().Materialize();
+        VertexId u = members[rng.NextBounded(members.size())];
+        marks.push_back(ctx.Mark());
+        double op = rng.NextDouble();
+        bool alive;
+        if (op < 0.1) {
+          alive = ctx.PromoteSimilarityFree(nullptr);
+        } else {
+          alive = op < 0.55 ? ctx.Expand(u) : ctx.Shrink(u);
+          if (alive && rng.NextBernoulli(0.5)) {
+            alive = ctx.PromoteSimilarityFree(nullptr);
+          }
+        }
+        if (!alive) {
+          ctx.RewindTo(marks.back());
+          marks.pop_back();
+        }
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SearchContextFuzz,
-                         ::testing::Range<uint64_t>(0, 10));
+                         ::testing::Range<uint64_t>(0, 24));
 
 /// Compares every piece of observable state between two contexts over the
 /// same component.
@@ -373,79 +445,88 @@ void ExpectSameState(const SearchContext& a, const SearchContext& b) {
 class SearchContextForkSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
-  auto dataset = test::MakeRandomGeo(40, 160, GetParam() + 100);
-  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.5);
-  PipelineOptions opts;
-  opts.k = 2;
-  std::vector<ComponentContext> comps;
-  ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
-  Rng rng(GetParam() * 131 + 7);
-  for (auto& comp : comps) {
-    SearchContext original(comp, 2, true);
-    // Reach a non-trivial prefix state on the original alone.
-    for (int step = 0; step < 6 && !original.c_list().empty(); ++step) {
-      auto members = original.c_list().Materialize();
-      std::sort(members.begin(), members.end());
-      VertexId u = members[rng.NextBounded(members.size())];
-      size_t mark = original.Mark();
-      bool alive = rng.NextBernoulli(0.5) ? original.Expand(u)
-                                          : original.Shrink(u);
-      if (!alive) original.RewindTo(mark);
-    }
+  for (bool chain : {false, true}) {
+    auto dataset = chain ? MakeCliqueChain(GetParam() + 100)
+                         : test::MakeRandomGeo(40, 160, GetParam() + 100);
+    SimilarityOracle oracle(&dataset.attributes, dataset.metric,
+                            chain ? 0.8 : 0.5);
+    PipelineOptions opts;
+    opts.k = 2;
+    std::vector<ComponentContext> comps;
+    ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
+    Rng rng(GetParam() * 131 + 7);
+    for (auto& comp : comps) {
+      SearchContext original(comp, 2, true);
+      // Reach a non-trivial prefix state on the original alone.
+      for (int step = 0; step < 6 && !original.c_list().empty(); ++step) {
+        auto members = original.c_list().Materialize();
+        std::sort(members.begin(), members.end());
+        VertexId u = members[rng.NextBounded(members.size())];
+        size_t mark = original.Mark();
+        bool alive = rng.NextBernoulli(0.5) ? original.Expand(u)
+                                            : original.Shrink(u);
+        if (!alive) original.RewindTo(mark);
+      }
 
-    SearchContext fork = original.Fork();
-    EXPECT_EQ(fork.Mark(), 0u) << "fork must start with an empty trail";
-    ExpectSameState(original, fork);
+      SearchContext fork = original.Fork();
+      EXPECT_EQ(fork.Mark(), 0u) << "fork must start with an empty trail";
+      ExpectSameState(original, fork);
 
-    // Drive both with identical decisions; rewinds use per-context marks
-    // (the fork's trail is rooted at the fork point, the original's is not).
-    std::vector<size_t> marks_o, marks_f;
-    for (int step = 0; step < 120; ++step) {
-      double roll = rng.NextDouble();
-      if ((roll < 0.3 && !marks_o.empty()) || original.c_list().empty()) {
-        if (marks_o.empty()) break;
-        original.RewindTo(marks_o.back());
-        fork.RewindTo(marks_f.back());
-        marks_o.pop_back();
-        marks_f.pop_back();
+      // Drive both with identical decisions; rewinds use per-context marks
+      // (the fork's trail is rooted at the fork point, the original's is not).
+      std::vector<size_t> marks_o, marks_f;
+      for (int step = 0; step < 120; ++step) {
+        double roll = rng.NextDouble();
+        if ((roll < 0.3 && !marks_o.empty()) || original.c_list().empty()) {
+          if (marks_o.empty()) break;
+          original.RewindTo(marks_o.back());
+          fork.RewindTo(marks_f.back());
+          marks_o.pop_back();
+          marks_f.pop_back();
+          ExpectSameState(original, fork);
+          continue;
+        }
+        auto members = original.c_list().Materialize();
+        std::sort(members.begin(), members.end());
+        VertexId u = members[rng.NextBounded(members.size())];
+        marks_o.push_back(original.Mark());
+        marks_f.push_back(fork.Mark());
+        double op = rng.NextDouble();
+        bool alive_o, alive_f;
+        if (op < 0.45) {
+          alive_o = original.Expand(u);
+          alive_f = fork.Expand(u);
+        } else if (op < 0.9) {
+          alive_o = original.Shrink(u);
+          alive_f = fork.Shrink(u);
+        } else {
+          alive_o = alive_f = true;
+        }
+        // The retention step: after half the branch ops, and alone.
+        if (alive_o && alive_f && (op >= 0.9 || rng.NextBernoulli(0.5))) {
+          uint64_t promo_o = 0, promo_f = 0;
+          alive_o = original.PromoteSimilarityFree(&promo_o);
+          alive_f = fork.PromoteSimilarityFree(&promo_f);
+          EXPECT_EQ(promo_o, promo_f);
+        }
+        ASSERT_EQ(alive_o, alive_f) << "divergence at step " << step;
+        if (!alive_o) {
+          original.RewindTo(marks_o.back());
+          fork.RewindTo(marks_f.back());
+          marks_o.pop_back();
+          marks_f.pop_back();
+        }
         ExpectSameState(original, fork);
-        continue;
+        CheckInvariants(fork);
       }
-      auto members = original.c_list().Materialize();
-      std::sort(members.begin(), members.end());
-      VertexId u = members[rng.NextBounded(members.size())];
-      marks_o.push_back(original.Mark());
-      marks_f.push_back(fork.Mark());
-      double op = rng.NextDouble();
-      bool alive_o, alive_f;
-      if (op < 0.45) {
-        alive_o = original.Expand(u);
-        alive_f = fork.Expand(u);
-      } else if (op < 0.9) {
-        alive_o = original.Shrink(u);
-        alive_f = fork.Shrink(u);
-      } else {
-        uint64_t promo_o = 0, promo_f = 0;
-        alive_o = original.PromoteSimilarityFree(&promo_o);
-        alive_f = fork.PromoteSimilarityFree(&promo_f);
-        EXPECT_EQ(promo_o, promo_f);
-      }
-      ASSERT_EQ(alive_o, alive_f) << "divergence at step " << step;
-      if (!alive_o) {
+      // Unwinding the fork to its root restores the fork-point state exactly.
+      fork.RewindTo(0);
+      while (!marks_o.empty()) {
         original.RewindTo(marks_o.back());
-        fork.RewindTo(marks_f.back());
         marks_o.pop_back();
-        marks_f.pop_back();
       }
       ExpectSameState(original, fork);
     }
-    // Unwinding the fork to its root restores the fork-point state exactly.
-    fork.RewindTo(0);
-    while (!marks_o.empty()) {
-      original.RewindTo(marks_o.back());
-      marks_o.pop_back();
-    }
-    ExpectSameState(original, fork);
   }
 }
 
