@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
   auto MakeEnumOptions = [&](uint32_t k) {
     EnumOptions opts = AdvEnumOptions(k);
     opts.deadline = Deadline::AfterSeconds(timeout);
-    opts.join_strategy = join_strategy;
+    opts.preprocess.join_strategy = join_strategy;
     opts.parallel.num_threads = threads;
     opts.parallel.split_depth = split_depth;
     return opts;
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
   auto MakeMaxOptions = [&](uint32_t k) {
     MaxOptions opts = AdvMaxOptions(k);
     opts.deadline = Deadline::AfterSeconds(timeout);
-    opts.join_strategy = join_strategy;
+    opts.preprocess.join_strategy = join_strategy;
     opts.parallel.num_threads = threads;
     opts.parallel.split_depth = split_depth;
     opts.bound_refresh = static_cast<uint32_t>(bound_refresh);
@@ -495,7 +495,7 @@ int main(int argc, char** argv) {
     PipelineOptions pipe;
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
-    pipe.join_strategy = join_strategy;
+    pipe.preprocess.join_strategy = join_strategy;
     pipe.preprocess.num_threads = threads;
     if (options.Has("cover")) {
       pipe.score_cover = options.GetDouble("cover", r);
@@ -663,7 +663,7 @@ int main(int argc, char** argv) {
       PipelineOptions pipe;
       pipe.k = *std::min_element(grid.ks.begin(), grid.ks.end());
       pipe.deadline = Deadline::AfterSeconds(timeout);
-      pipe.join_strategy = join_strategy;
+      pipe.preprocess.join_strategy = join_strategy;
       pipe.preprocess.num_threads = threads;
       pipe.score_cover = r_cover;
       PreparedWorkspace ws;
@@ -696,7 +696,7 @@ int main(int argc, char** argv) {
     PipelineOptions pipe;
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
-    pipe.join_strategy = join_strategy;
+    pipe.preprocess.join_strategy = join_strategy;
     pipe.preprocess.num_threads = threads;
     if (options.Has("cover")) {
       pipe.score_cover = options.GetDouble("cover", r);

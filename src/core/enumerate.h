@@ -36,7 +36,7 @@ struct EnumOptions {
   /// Algorithm 4 expands one vertex at a time and benefits from the degree
   /// order; our conflict-driven check (see maximal_check.h) resolves
   /// dissimilar pairs instead, where the Δ1-style order measures best —
-  /// EXPERIMENTS.md records the comparison.
+  /// `bench_fig11_orders` (Fig 11(f)) runs the comparison.
   VertexOrder maximal_check_order = VertexOrder::kDelta1ThenDelta2;
   /// Only used by order == kLambdaCombo (and the combo check order).
   double lambda = 5.0;
@@ -47,13 +47,9 @@ struct EnumOptions {
   /// Status::DeadlineExceeded (rendered as INF by the benches).
   Deadline deadline;
 
-  /// Shared preprocessing knobs (blocked pair builder, optional budget).
+  /// Shared preprocessing knobs (join strategy, blocked pair builder,
+  /// optional budget).
   PreprocessOptions preprocess;
-
-  /// Pair-discovery strategy for the preparation's similarity self-join
-  /// (forwarded to PipelineOptions::join_strategy; results are identical
-  /// for every strategy).
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
 
   /// Parallel search: component roots plus intra-component subtree tasks
   /// (forked down to parallel.split_depth) on one shared work-stealing

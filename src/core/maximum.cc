@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "core/branch_search.h"
 #include "core/early_termination.h"
 #include "core/greedy_seed.h"
-#include "core/parallel.h"
-#include "core/pipeline.h"
 #include "core/search_context.h"
 #include "core/search_order.h"
 #include "core/size_bounds.h"
@@ -51,8 +50,7 @@ class SharedBest {
   // The incumbent size is polled at every search node by every worker, so
   // it must own its cache line: sharing one with the mutex (or the vector's
   // header, which Offer rewrites) would make each rare emission invalidate
-  // the line for all pollers — the false-sharing suspect ROADMAP names for
-  // the missing multicore speedup on the bound-pruning hot path.
+  // the line for all pollers on the bound-pruning hot path.
   alignas(64) std::atomic<uint64_t> size_{0};
   alignas(64) std::mutex mu_;
   VertexSet best_;
@@ -69,101 +67,42 @@ struct BoundCache {
   uint32_t nodes_since = 0;     // nodes on this chain since the last compute
 };
 
-/// Shared per-component search state. Every task of the component — the root
-/// and all forked subtrees — holds the same job; tasks merge their local
-/// stats and first error under the job mutex when they finish.
-struct MaxJob {
-  MaxJob(const ComponentContext& c, const MaxOptions& o, SharedBest* b,
-         std::atomic<bool>* f)
-      : comp(c), options(o), best(b), failed(f) {}
-
-  const ComponentContext& comp;
+/// What every AdvMax task reads: the run's options and the incumbent.
+struct MaxRun {
   const MaxOptions& options;
-  SharedBest* best;
-  std::atomic<bool>* failed;  // any task of any component errored: drain
-  TaskPool* pool = nullptr;   // null = sequential (no subtree forking)
-
-  std::mutex mu;
-  MiningStats stats;
-  Status status;  // first non-OK of any task
-
-  void Finish(const MiningStats& task_stats, const Status& task_status) {
-    if (!task_status.ok()) failed->store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu);
-    stats.MergeFrom(task_stats);
-    if (status.ok() && !task_status.ok()) status = task_status;
-  }
+  SharedBest best;
 };
 
 /// One task of the per-component branch-and-bound for the maximum (k,r)-core
-/// (Algorithm 5): either the component root or a forked subtree. Owns its
-/// SearchContext and all per-task scratch (policy Rng, bound computer, early
-/// termination checker), so tasks share nothing mutable but SharedBest and
-/// the job accumulators.
-class ComponentMaximizer {
+/// (Algorithm 5). Owns its SearchContext and all per-task scratch (policy
+/// Rng, bound computer, early termination checker), so tasks share nothing
+/// mutable but the incumbent and the job accumulators; a task deposits
+/// nothing, its cores go straight to the incumbent.
+class ComponentMaximizer
+    : public BranchTask<ComponentMaximizer, MaxRun, std::monostate,
+                        BoundCache> {
  public:
-  /// Root task: fresh context over the whole component.
-  explicit ComponentMaximizer(std::shared_ptr<MaxJob> job)
-      : ComponentMaximizer(
-            std::move(job),
-            // Delegation needs the job pointer before the member init; read
-            // it from the argument of the delegated-to constructor instead.
-            /*placeholder=*/0) {}
+  using BranchTask::BranchTask;
 
-  /// Subtree task: adopts a forked context at `depth` with the ancestor's
-  /// bound cache; Run(expand, u) applies the pending branch op first.
-  ComponentMaximizer(std::shared_ptr<MaxJob> job, SearchContext&& ctx,
-                     uint32_t depth, BoundCache cache)
-      : job_(std::move(job)),
-        ctx_(std::move(ctx)),
-        depth_(depth),
-        cache_(cache),
-        policy_(job_->options.order, job_->options.branch_order,
-                job_->options.lambda, job_->options.seed),
-        et_checker_(job_->comp),
-        bound_computer_(job_->comp) {}
-
-  /// Runs the root task: retention fixpoint then the full tree.
-  void RunRoot() {
-    Status s = Status::OK();
-    bool alive = true;
-    if (options().use_retention) {
-      alive = ctx_.PromoteSimilarityFree(&stats_.promotions);
-    }
-    if (alive) s = Visit(depth_, cache_);
-    job_->Finish(stats_, s);
-  }
-
-  /// Runs a forked subtree task: applies the branch op the parent deferred,
-  /// then explores the subtree.
-  void RunBranch(bool expand, VertexId u) {
-    Status s = Status::OK();
-    bool alive;
-    if (expand) {
-      ++stats_.expand_branches;
-      alive = ctx_.Expand(u);
-    } else {
-      ++stats_.shrink_branches;
-      alive = ctx_.Shrink(u);
-    }
-    if (alive && options().use_retention) {
-      alive = ctx_.PromoteSimilarityFree(&stats_.promotions);
-    }
-    if (alive) s = Visit(depth_, cache_);
-    job_->Finish(stats_, s);
+  /// A whole component can be skipped when even its total size cannot beat
+  /// the incumbent.
+  static bool Skip(const Job& job) {
+    return job.comp.size() <= job.run.best.Size();
   }
 
  private:
-  ComponentMaximizer(std::shared_ptr<MaxJob> job, int /*placeholder*/)
-      : job_(std::move(job)),
-        ctx_(job_->comp, job_->options.k,
-             /*track_excluded=*/job_->options.use_early_termination),
-        policy_(job_->options.order, job_->options.branch_order,
-                job_->options.lambda, job_->options.seed),
-        et_checker_(job_->comp),
-        bound_computer_(job_->comp) {}
+  friend BranchTask;
 
-  const MaxOptions& options() const { return job_->options; }
+  static SearchContext RootContext(const Job& job) {
+    return SearchContext(
+        job.comp, job.run.options.k,
+        /*track_excluded=*/job.run.options.use_early_termination);
+  }
+
+  const MaxOptions& options() const { return job_->run.options; }
+  SharedBest& best() const { return job_->run.best; }
+
+  std::monostate TakePart() { return {}; }
 
   /// One search node. `cache` travels by value so each branch inherits the
   /// tightest ancestor bound and backtracking needs no undo.
@@ -186,7 +125,7 @@ class ComponentMaximizer {
     // check runs first, then the cached expensive value, and only when
     // neither settles the node is the expensive tier recomputed — and only
     // if M ∪ C shrank below the cached bound or the refresh interval hit.
-    const uint64_t incumbent = job_->best->Size();
+    const uint64_t incumbent = best().Size();
     const uint64_t naive = bound_computer_.Naive(ctx_);
     if (naive <= incumbent) {
       ++stats_.bound_naive_prunes;
@@ -223,66 +162,9 @@ class ComponentMaximizer {
     BranchChoice choice =
         policy_.Choose(ctx_, /*restrict_to_non_sf=*/options().use_retention,
                        /*sum_branches=*/false);
-    VertexId u = choice.vertex;
-
-    if (job_->pool != nullptr && depth < options().parallel.split_depth &&
-        job_->pool->BacklogLow()) {
-      // Fork the second-visited branch onto the shared pool and continue the
-      // first-visited branch inline — the incumbent stays live across tasks
-      // through SharedBest, so cross-task pruning matches the sequential
-      // schedule's intent. Skipped when the pool already has a backlog:
-      // queued forks are dead weight (each holds a full state copy).
-      Spawn(/*expand=*/!choice.expand_first, u, depth + 1, cache);
-      size_t mark = ctx_.Mark();
-      bool alive;
-      if (choice.expand_first) {
-        ++stats_.expand_branches;
-        alive = ctx_.Expand(u);
-      } else {
-        ++stats_.shrink_branches;
-        alive = ctx_.Shrink(u);
-      }
-      if (alive && options().use_retention) {
-        alive = ctx_.PromoteSimilarityFree(&stats_.promotions);
-      }
-      Status s = alive ? Visit(depth + 1, cache) : Status::OK();
-      ctx_.RewindTo(mark);
-      return s;
-    }
-
-    for (int round = 0; round < 2; ++round) {
-      bool expanding = (round == 0) == choice.expand_first;
-      size_t mark = ctx_.Mark();
-      bool alive;
-      if (expanding) {
-        ++stats_.expand_branches;
-        alive = ctx_.Expand(u);
-      } else {
-        ++stats_.shrink_branches;
-        alive = ctx_.Shrink(u);
-      }
-      if (alive && options().use_retention) {
-        alive = ctx_.PromoteSimilarityFree(&stats_.promotions);
-      }
-      Status s = alive ? Visit(depth + 1, cache) : Status::OK();
-      ctx_.RewindTo(mark);
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-
-  void Spawn(bool expand, VertexId u, uint32_t depth, BoundCache cache) {
-    // std::function requires copyable captures; box the forked context.
-    auto forked = std::make_shared<SearchContext>(ctx_.Fork());
-    auto job = job_;
-    job_->pool->Submit([job, forked, expand, u, depth, cache]() mutable {
-      if (job->failed->load(std::memory_order_relaxed)) {
-        job->Finish(MiningStats(), Status::OK());
-        return;
-      }
-      ComponentMaximizer task(job, std::move(*forked), depth, cache);
-      task.RunBranch(expand, u);
-    });
+    // A forked branch prunes against the live incumbent through SharedBest,
+    // so cross-task pruning matches the sequential schedule's intent.
+    return Branch(choice.vertex, choice.expand_first, depth, cache);
   }
 
   void Emit() {
@@ -291,25 +173,21 @@ class ComponentMaximizer {
     auto components = ComponentsOfSubset(job_->comp.graph, mc);
     for (const auto& local_core : components) {
       ++stats_.emitted_candidates;
-      if (local_core.size() < job_->best->Size()) continue;
+      if (local_core.size() < best().Size()) continue;
       VertexSet parent_ids;
       parent_ids.reserve(local_core.size());
       for (VertexId v : local_core) {
         parent_ids.push_back(job_->comp.to_parent[v]);
       }
       std::sort(parent_ids.begin(), parent_ids.end());
-      job_->best->Offer(std::move(parent_ids));
+      best().Offer(std::move(parent_ids));
     }
   }
 
-  std::shared_ptr<MaxJob> job_;
-  SearchContext ctx_;
-  uint32_t depth_ = 0;
-  BoundCache cache_;
-  MiningStats stats_;
-  SearchOrderPolicy policy_;
-  EarlyTerminationChecker et_checker_;
-  SizeBoundComputer bound_computer_;
+  SearchOrderPolicy policy_{options().order, options().branch_order,
+                            options().lambda, options().seed};
+  EarlyTerminationChecker et_checker_{job_->comp};
+  SizeBoundComputer bound_computer_{job_->comp};
 };
 
 }  // namespace
@@ -317,36 +195,12 @@ class ComponentMaximizer {
 MaximumCoreResult FindMaximumCore(const Graph& g,
                                   const SimilarityOracle& oracle,
                                   const MaxOptions& options) {
-  Timer timer;
-  const uint32_t threads = options.parallel.Resolve();
-  PipelineOptions pipe;
-  pipe.k = options.k;
-  pipe.preprocess = options.preprocess;
-  pipe.preprocess.num_threads = threads;
-  pipe.join_strategy = options.join_strategy;
-  pipe.deadline = options.deadline;
-  pipe.order_by_max_degree = true;  // search the densest part first
-  std::vector<ComponentContext> components;
-  PreprocessReport prep_report;
-  Status prepared = PrepareComponents(g, oracle, pipe, &components,
-                                      &prep_report);
-  const double prepare_seconds = timer.ElapsedSeconds();
-  if (!prepared.ok()) {
-    MaximumCoreResult result;
-    result.status = prepared;
-    result.stats.prepare_pair_sweeps = 1;
-    result.stats.oracle_calls = prep_report.oracle_calls;
-    result.stats.prepare_seconds = prepare_seconds;
-    result.stats.seconds = prepare_seconds;
-    return result;
-  }
-
-  MaximumCoreResult result = FindMaximumCore(components, options);
-  result.stats.prepare_pair_sweeps = 1;
-  result.stats.oracle_calls = prep_report.oracle_calls;
-  result.stats.prepare_seconds = prepare_seconds;
-  result.stats.seconds = timer.ElapsedSeconds();
-  return result;
+  return PrepareThenMine<MaximumCoreResult>(
+      g, oracle, options,
+      /*order_by_max_degree=*/true,  // search the densest part first
+      [&](const std::vector<ComponentContext>& components) {
+        return FindMaximumCore(components, options);
+      });
 }
 
 MaximumCoreResult FindMaximumCore(
@@ -355,9 +209,8 @@ MaximumCoreResult FindMaximumCore(
   MaximumCoreResult result;
   Timer timer;
   KRCORE_CHECK(options.bound_refresh > 0) << "bound_refresh must be positive";
-  const uint32_t threads = options.parallel.Resolve();
 
-  SharedBest best;
+  MaxRun run{options, {}};
   if (options.use_seed_incumbent && !components.empty()) {
     // Seed the incumbent from the densest component (most structure edges)
     // so every task prunes against a real core from its very first node.
@@ -373,67 +226,17 @@ MaximumCoreResult FindMaximumCore(
     if (components[densest].EnsureValid().ok()) {
       VertexSet seed =
           GreedySeedCore(components[densest], options.k, options.deadline);
-      if (!seed.empty()) best.Offer(std::move(seed));
+      if (!seed.empty()) run.best.Offer(std::move(seed));
     }
   }
 
-  std::atomic<bool> failed{false};
-  std::vector<std::shared_ptr<MaxJob>> jobs;
-  jobs.reserve(components.size());
-  for (const auto& comp : components) {
-    jobs.push_back(std::make_shared<MaxJob>(comp, options, &best, &failed));
-  }
-
-  if (threads <= 1) {
-    for (auto& job : jobs) {
-      // A whole component can be skipped when even its total size cannot
-      // beat the incumbent.
-      if (job->comp.size() <= best.Size()) continue;
-      // First-touch validation gate (mmap-served components) — must land
-      // before the maximizer's constructor walks rows.
-      if (Status s = job->comp.EnsureValid(); !s.ok()) {
-        job->Finish(MiningStats(), s);
-        break;
-      }
-      ComponentMaximizer root(job);
-      root.RunRoot();
-      if (!job->status.ok()) break;
-    }
-  } else {
-    // One pool for everything: component roots and the subtrees they fork
-    // compete for the same workers, so the skewed one-giant-component case
-    // still saturates every core.
-    TaskPool pool(threads);
-    for (auto& job : jobs) {
-      job->pool = &pool;
-      pool.Submit([job, &best, &failed] {
-        if (failed.load(std::memory_order_relaxed)) return;
-        if (job->comp.size() <= best.Size()) return;
-        if (Status s = job->comp.EnsureValid(); !s.ok()) {
-          job->Finish(MiningStats(), s);
-          return;
-        }
-        ComponentMaximizer root(job);
-        root.RunRoot();
-      });
-    }
-    pool.Wait();
-    result.stats.tasks_spawned = pool.tasks_spawned();
-    result.stats.task_steals = pool.tasks_stolen();
-  }
-
-  // Merge stats in component order and stop at the first failure, so a
+  // Stats are merged in component order up to the first failure, so a
   // timed-out run reports the same shape of counters as a sequential run
   // (which stops searching there). The shared best itself is unaffected.
-  for (auto& job : jobs) {
-    ++result.stats.components;
-    result.stats.MergeFrom(job->stats);
-    if (!job->status.ok()) {
-      result.status = job->status;
-      break;
-    }
-  }
-  result.best = best.Take();
+  SearchComponents<ComponentMaximizer>(components, run,
+                                       options.parallel.Resolve(),
+                                       &result.stats, &result.status);
+  result.best = run.best.Take();
   result.stats.maximal_found = result.best.empty() ? 0 : 1;
   result.stats.seconds = timer.ElapsedSeconds();
   return result;

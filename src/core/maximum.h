@@ -47,13 +47,9 @@ struct MaxOptions {
 
   Deadline deadline;
 
-  /// Shared preprocessing knobs (blocked pair builder, optional budget).
+  /// Shared preprocessing knobs (join strategy, blocked pair builder,
+  /// optional budget).
   PreprocessOptions preprocess;
-
-  /// Pair-discovery strategy for the preparation's similarity self-join
-  /// (forwarded to PipelineOptions::join_strategy; results are identical
-  /// for every strategy).
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
 
   /// Parallel search: component roots plus intra-component subtree tasks
   /// (forked down to parallel.split_depth) on one shared work-stealing

@@ -18,8 +18,6 @@ PipelineOptions BasePipelineOptions(const SweepOptions& options, uint32_t k) {
   pipe.k = k;
   pipe.preprocess = enumerate ? options.enumerate.preprocess
                               : options.maximum.preprocess;
-  pipe.join_strategy = enumerate ? options.enumerate.join_strategy
-                                 : options.maximum.join_strategy;
   pipe.deadline =
       enumerate ? options.enumerate.deadline : options.maximum.deadline;
   return pipe;

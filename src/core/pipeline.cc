@@ -19,9 +19,9 @@ namespace {
 
 /// Builds one component's context: induced structure graph plus the flat
 /// dissimilarity index, with pair discovery delegated to the self-join
-/// engine (src/similarity/join/) under options.join_strategy — the brute
-/// tiled sweep or the certified filter-and-verify join, which produce
-/// bit-identical substrates. The deadline is polled every few thousand
+/// engine (src/similarity/join/) under options.preprocess.join_strategy —
+/// the brute tiled sweep or the certified filter-and-verify join, which
+/// produce bit-identical substrates. The deadline is polled every few thousand
 /// pair operations; on expiry (or when another worker already expired via
 /// *aborted) the build stops early and the returned context must be
 /// discarded. Returns the builder's peak transient byte count through
@@ -48,7 +48,7 @@ ComponentContext BuildComponent(const Graph& similar_only,
   DissimilarityIndex::Builder builder(ctx.size());
   if (options.annotate_scores()) builder.AnnotateScores();
   SelfJoinOptions join;
-  join.strategy = options.join_strategy;
+  join.strategy = options.preprocess.join_strategy;
   join.score_cover = options.score_cover;
   join.tile_size = opts.tile_size;
   join.num_threads = join_threads;

@@ -110,14 +110,6 @@ struct PipelineOptions {
   /// substrate. Setting it equal to the oracle's threshold annotates
   /// scores without widening the serving range.
   double score_cover = std::numeric_limits<double>::quiet_NaN();
-  /// Pair-discovery strategy for the per-component similarity self-join
-  /// (src/similarity/join/): kAuto/kFiltered run the certified
-  /// filter-and-verify engine where a per-metric filter applies (grid for
-  /// Euclidean distance, prefix/size filters for the token metrics) and
-  /// fall back to the brute sweep elsewhere; kBrute pins the baseline.
-  /// Every strategy builds the identical substrate — bit-identical pair
-  /// sets and stored scores — so this is purely a performance knob.
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
   /// Wall-clock budget for the pair sweep itself: with no default pair
   /// budget the O(n^2) evaluation can be long, so the mining entry points
   /// forward their deadline here and expiry yields DeadlineExceeded.

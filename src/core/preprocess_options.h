@@ -6,6 +6,7 @@
 
 #include "core/dissimilarity_index.h"
 #include "graph/graph.h"
+#include "similarity/join/self_join.h"
 #include "util/timer.h"
 
 namespace krcore {
@@ -15,6 +16,15 @@ namespace krcore {
 /// Embedded by PipelineOptions, EnumOptions, MaxOptions and
 /// CliqueMethodOptions so the knobs cannot drift between entry points.
 struct PreprocessOptions {
+  /// Pair-discovery strategy for the per-component similarity self-join
+  /// (src/similarity/join/): kAuto/kFiltered run the certified
+  /// filter-and-verify engine where a per-metric filter applies (grid for
+  /// Euclidean distance, prefix/size filters for the token metrics) and
+  /// fall back to the brute sweep elsewhere; kBrute pins the baseline.
+  /// Every strategy builds the identical substrate — bit-identical pair
+  /// sets and stored scores — so this is purely a performance knob.
+  JoinStrategy join_strategy = JoinStrategy::kAuto;
+
   /// Optional hard guard on the number of pairwise similarity evaluations
   /// (sum over components of |comp|^2 / 2). 0 — the default — means
   /// unlimited: the blocked builder streams pairs tile by tile, so large

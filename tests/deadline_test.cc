@@ -51,7 +51,7 @@ TEST(DeadlineEntryPoints, BothJoinStrategiesAbortThePairSweep) {
        {JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
     PipelineOptions opts;
     opts.k = 2;
-    opts.join_strategy = strategy;
+    opts.preprocess.join_strategy = strategy;
     opts.deadline = Deadline::AfterSeconds(-1.0);
     std::vector<ComponentContext> components;
     Status s = PrepareComponents(dataset.graph, oracle, opts, &components);

@@ -381,5 +381,15 @@ TEST(ParallelEnum, DeadlineStillPropagates) {
   EXPECT_TRUE(result.status.IsDeadlineExceeded());
 }
 
+TEST(ParallelMax, DeadlineStillPropagates) {
+  auto dataset = test::MakeRandomGeo(40, 200, 5);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.8);
+  MaxOptions opts = AdvMaxOptions(2);
+  opts.deadline = Deadline::AfterSeconds(-1.0);
+  opts.parallel.num_threads = 4;
+  auto result = FindMaximumCore(dataset.graph, oracle, opts);
+  EXPECT_TRUE(result.status.IsDeadlineExceeded());
+}
+
 }  // namespace
 }  // namespace krcore

@@ -432,7 +432,7 @@ TEST(SelfJoin, PipelineReportThreadsJoinCounters) {
   for (JoinStrategy s : {JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
     PipelineOptions pipe;
     pipe.k = 2;
-    pipe.join_strategy = s;
+    pipe.preprocess.join_strategy = s;
     PreparedWorkspace ws;
     PreprocessReport report;
     ASSERT_TRUE(PrepareWorkspace(data.graph, oracle, pipe, &ws, &report).ok());

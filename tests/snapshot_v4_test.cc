@@ -334,14 +334,28 @@ TEST(SnapshotV4, BitFlipFailsOnlyTheComponentThatIsTouched) {
   Status again = lazy.components[1].EnsureValid();
   EXPECT_EQ(again.message(), first.message());
 
-  // A query that only needs the good component still succeeds...
+  // For both drivers, sequential and pooled: a query that only needs the
+  // good component still succeeds, while one that walks every component
+  // fails with the clean checksum error.
   std::vector<ComponentContext> good;
   good.push_back(lazy.components[0]);
-  auto ok_run = EnumerateMaximalCores(good, AdvEnumOptions(3));
-  EXPECT_TRUE(ok_run.status.ok());
-  // ...while one that walks every component fails with the clean error.
-  auto bad_run = EnumerateMaximalCores(lazy.components, AdvEnumOptions(3));
-  EXPECT_TRUE(bad_run.status.IsInvalidArgument());
+  for (uint32_t threads : {1u, 4u}) {
+    EnumOptions eopts = AdvEnumOptions(3);
+    eopts.parallel.num_threads = threads;
+    auto ok_enum = EnumerateMaximalCores(good, eopts);
+    EXPECT_TRUE(ok_enum.status.ok()) << "threads=" << threads;
+    auto bad_enum = EnumerateMaximalCores(lazy.components, eopts);
+    EXPECT_TRUE(bad_enum.status.IsInvalidArgument()) << "threads=" << threads;
+    EXPECT_NE(bad_enum.status.message().find("checksum"), std::string::npos);
+
+    MaxOptions mopts = AdvMaxOptions(3);
+    mopts.parallel.num_threads = threads;
+    auto ok_max = FindMaximumCore(good, mopts);
+    EXPECT_TRUE(ok_max.status.ok()) << "threads=" << threads;
+    auto bad_max = FindMaximumCore(lazy.components, mopts);
+    EXPECT_TRUE(bad_max.status.IsInvalidArgument()) << "threads=" << threads;
+    EXPECT_NE(bad_max.status.message().find("checksum"), std::string::npos);
+  }
 }
 
 TEST(SnapshotV4, MmapFailureFallsBackToEagerStyleRead) {
