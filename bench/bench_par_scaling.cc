@@ -8,9 +8,11 @@
 //         split_depth subtree forking exists for.
 //
 // The enumeration output is checked byte-identical across thread counts and
-// the maximum size schedule-independent; the speedup column is relative to
-// the 1-thread run. Note config.hardware_concurrency in the JSON: wall-clock
-// speedup can only materialize up to the physical core count.
+// the maximum size schedule-independent; the exit code is 1 on a mismatch,
+// so the quick run checks the forked-subtree path against the 1-thread
+// answer. The speedup column is relative to the 1-thread run. Note
+// config.hardware_concurrency in the JSON: wall-clock speedup can only
+// materialize up to the physical core count.
 //
 // Usage: bench_par_scaling [--scale=] [--timeout=] [--quick]
 //                          [--split_depth=6] [--csv=] [--json=]
@@ -75,6 +77,8 @@ int main(int argc, char** argv) {
       env.quick ? std::vector<uint32_t>{1, 2}
                 : std::vector<uint32_t>{1, 2, 4, 8};
 
+  bool identical = true;   // enumeration output across thread counts
+  bool consistent = true;  // maximum size across thread counts
   FigureReport enum_report("ParScalEnum",
                            "AdvEnum thread scaling, Gowalla k=5 r=20km");
   {
@@ -83,7 +87,6 @@ int main(int argc, char** argv) {
     PrintComponentProfile("enum workload (gowalla k=5 r=20km)", gowalla,
                           oracle, 5);
     std::vector<VertexSet> reference;
-    bool identical = true;
     for (uint32_t t : thread_counts) {
       EnumOptions opts = MakeEnumVariant("AdvEnum", 5, env.timeout_seconds);
       opts.parallel.num_threads = t;
@@ -118,7 +121,6 @@ int main(int argc, char** argv) {
     PrintComponentProfile("max workload (gowalla k=5 r=30km)", gowalla,
                           oracle, 5);
     uint64_t reference_size = 0;
-    bool consistent = true;
     for (uint32_t t : thread_counts) {
       MaxOptions opts = MakeMaxVariant("AdvMax", 5, env.timeout_seconds);
       opts.parallel.num_threads = t;
@@ -156,5 +158,5 @@ int main(int argc, char** argv) {
         "+ intra-component subtree forking) on the fig13/fig14 workloads.",
         command, env, {&enum_report, &max_report});
   }
-  return 0;
+  return identical && consistent ? 0 : 1;
 }

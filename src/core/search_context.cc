@@ -76,6 +76,8 @@ SearchContext::SearchContext(const ComponentContext& comp, uint32_t k,
   dp_c_.resize(n);
   dp_m_.assign(n, 0);
   dp_e_.assign(n, 0);
+  tree_parent_.resize(n);
+  tree_children_.resize(n);
   bfs_mark_.assign(n, 0);
 
   for (VertexId u = 0; u < n; ++u) {
@@ -94,41 +96,37 @@ SearchContext::SearchContext(const ComponentContext& comp, uint32_t k,
 
 SearchContext SearchContext::Fork() const {
   KRCORE_DCHECK(!dead_);
-  SearchContext copy(*this);
-  copy.trail_.clear();
-  copy.peel_queue_.clear();
-  copy.bfs_stack_.clear();
-  return copy;
+  KRCORE_DCHECK(peel_queue_.empty() && bfs_stack_.empty() &&
+                unreachable_.empty());
+  return SearchContext(*this);
 }
 
-// ---- low-level journaled mutators ----------------------------------------
+size_t SearchContext::Journal::Bytes(size_t record_words) const {
+  size_t bytes = trail.capacity() * sizeof(TrailEntry) +
+                 checkpoints.capacity() * sizeof(Checkpoint);
+  for (size_t i = 0; i < slabs.size(); ++i) {
+    bytes += (size_t{kFirstSlabRecords} << i) * record_words * sizeof(uint32_t);
+  }
+  return bytes;
+}
 
-void SearchContext::ApplyState(VertexId u, VertexState s) {
-  VertexState old = state_[u];
-  if (old == s) return;
-  // SF(C) accounting: u leaves / enters the C set.
-  if (old == VertexState::kInC) {
-    c_list_.Remove(u);
-    if (dp_c_[u] == 0) --sf_count_;
-  } else if (old == VertexState::kInM) {
-    m_list_.Remove(u);
-  } else if (old == VertexState::kInE) {
-    e_list_.Remove(u);
-  }
+// ---- membership and counter primitives ------------------------------------
+
+void SearchContext::Relink(VertexId u, VertexState s) {
+  // Indexed by VertexState; removed vertices are on no list.
+  VertexList* const lists[] = {&c_list_, &m_list_, &e_list_, nullptr};
+  if (VertexList* from = lists[static_cast<int>(state_[u])]) from->Remove(u);
   state_[u] = s;
-  if (s == VertexState::kInC) {
-    c_list_.PushFront(u);
-    if (dp_c_[u] == 0) ++sf_count_;
-  } else if (s == VertexState::kInM) {
-    m_list_.PushFront(u);
-  } else if (s == VertexState::kInE) {
-    e_list_.PushFront(u);
-  }
+  if (VertexList* to = lists[static_cast<int>(s)]) to->PushFront(u);
 }
 
 void SearchContext::ChangeState(VertexId u, VertexState s) {
-  trail_.push_back({Op::kState, u, static_cast<int64_t>(state_[u])});
-  ApplyState(u, s);
+  const VertexState old = state_[u];
+  KRCORE_DCHECK(old != s && s != VertexState::kInC);
+  journal_.trail.push_back({u, old});
+  // SF(C) accounting: u leaves the C set.
+  if (old == VertexState::kInC && dp_c_[u] == 0) --sf_count_;
+  Relink(u, s);
 }
 
 void SearchContext::ApplyDpC(VertexId u, int32_t d) {
@@ -141,74 +139,65 @@ void SearchContext::ApplyDpC(VertexId u, int32_t d) {
   }
 }
 
-void SearchContext::AdjustDegMc(VertexId u, int32_t d) {
-  trail_.push_back({Op::kDegMc, u, d});
-  deg_mc_[u] += d;
-}
+// ---- backtracking ----------------------------------------------------------
 
-void SearchContext::AdjustDegM(VertexId u, int32_t d) {
-  trail_.push_back({Op::kDegM, u, d});
-  deg_m_[u] += d;
-}
-
-void SearchContext::AdjustDpC(VertexId u, int32_t d) {
-  trail_.push_back({Op::kDpC, u, d});
-  ApplyDpC(u, d);
-}
-
-void SearchContext::AdjustDpM(VertexId u, int32_t d) {
-  trail_.push_back({Op::kDpM, u, d});
-  dp_m_[u] += d;
-}
-
-void SearchContext::AdjustDpE(VertexId u, int32_t d) {
-  trail_.push_back({Op::kDpE, u, d});
-  dp_e_[u] += d;
-}
-
-void SearchContext::AdjustPairsC(int64_t d) {
-  trail_.push_back({Op::kPairsC, 0, d});
-  dp_pairs_c_ += d;
-}
-
-void SearchContext::AdjustEdgesMc(int64_t d) {
-  trail_.push_back({Op::kEdgesMc, 0, d});
-  edges_mc_ += d;
+size_t SearchContext::Mark() {
+  KRCORE_DCHECK(!dead_);
+  auto& checkpoints = journal_.checkpoints;
+  auto& slabs = journal_.slabs;
+  // The next record follows the top checkpoint's, in its slab or the next.
+  uint32_t slab = 0, slot = 0;
+  if (!checkpoints.empty()) {
+    slab = checkpoints.back().slab;
+    slot = checkpoints.back().slot + 1;
+    if (slot == kFirstSlabRecords << slab) {
+      ++slab;
+      slot = 0;
+    }
+  }
+  const size_t record_words = RecordWords();
+  if (slab == slabs.size()) {
+    // Default-initialized: pages are touched only when a record is written.
+    slabs.emplace_back(
+        new uint32_t[(size_t{kFirstSlabRecords} << slab) * record_words]);
+  }
+  uint32_t* out = slabs[slab].get() + slot * record_words;
+  ForEachRecordArray(mc_connected_, [&out](const std::vector<uint32_t>& a) {
+    std::copy(a.begin(), a.end(), out);
+    out += a.size();
+  });
+  checkpoints.push_back({journal_.trail.size(), dp_pairs_c_, edges_mc_,
+                         sf_count_, mc_connected_, slab, slot});
+  return checkpoints.size() - 1;
 }
 
 void SearchContext::RewindTo(size_t mark) {
-  while (trail_.size() > mark) {
-    TrailEntry e = trail_.back();
-    trail_.pop_back();
-    switch (e.op) {
-      case Op::kState:
-        ApplyState(e.u, static_cast<VertexState>(e.delta));
-        break;
-      case Op::kDegMc:
-        deg_mc_[e.u] -= static_cast<int32_t>(e.delta);
-        break;
-      case Op::kDegM:
-        deg_m_[e.u] -= static_cast<int32_t>(e.delta);
-        break;
-      case Op::kDpC:
-        ApplyDpC(e.u, -static_cast<int32_t>(e.delta));
-        break;
-      case Op::kDpM:
-        dp_m_[e.u] -= static_cast<int32_t>(e.delta);
-        break;
-      case Op::kDpE:
-        dp_e_[e.u] -= static_cast<int32_t>(e.delta);
-        break;
-      case Op::kPairsC:
-        dp_pairs_c_ -= e.delta;
-        break;
-      case Op::kEdgesMc:
-        edges_mc_ -= e.delta;
-        break;
-    }
+  auto& checkpoints = journal_.checkpoints;
+  KRCORE_DCHECK(mark < checkpoints.size());
+  const Checkpoint cp = checkpoints[mark];
+  checkpoints.resize(mark);
+
+  // Membership: replay the trail LIFO. A restored vertex goes to the front
+  // of its list, so list order (which Choose() tie-breaks read) is a
+  // function of the op sequence, not of the mark-time order.
+  auto& trail = journal_.trail;
+  while (trail.size() > cp.trail_size) {
+    const TrailEntry e = trail.back();
+    trail.pop_back();
+    Relink(e.u, e.old);
   }
+  // Counters, and the proof's tree when the proof held at Mark().
+  const uint32_t* in =
+      journal_.slabs[cp.slab].get() + cp.slot * RecordWords();
+  ForEachRecordArray(cp.mc_connected, [&in](std::vector<uint32_t>& a) {
+    std::copy(in, in + a.size(), a.begin());
+    in += a.size();
+  });
+  dp_pairs_c_ = cp.dp_pairs_c;
+  edges_mc_ = cp.edges_mc;
+  sf_count_ = cp.sf_count;
+  mc_connected_ = cp.mc_connected;
   dead_ = false;
-  mc_connected_ = false;
   peel_queue_.clear();
 }
 
@@ -216,7 +205,15 @@ void SearchContext::RewindTo(size_t mark) {
 
 void SearchContext::DiscardFromC(VertexId u) {
   KRCORE_DCHECK(state_[u] == VertexState::kInC);
-  mc_connected_ = false;
+  // The tree minus a leaf still spans the rest of M ∪ C. u is a candidate,
+  // so it is never the root (an M vertex).
+  if (mc_connected_) {
+    if (tree_children_[u] == 0) {
+      --tree_children_[tree_parent_[u]];
+    } else {
+      mc_connected_ = false;
+    }
+  }
   // Destination: E keeps discarded vertices that are similar to all of M
   // (Sec 5.2's definition of the relevant excluded set).
   bool to_e = track_excluded_ && dp_m_[u] == 0;
@@ -225,20 +222,19 @@ void SearchContext::DiscardFromC(VertexId u) {
   // u leaves C: DP(C) loses the pairs (u, x in C); dp_c drops for every
   // dissimilar vertex regardless of its state (E members consult dp_c in
   // the Theorem 5/6 checks).
-  AdjustPairsC(-static_cast<int64_t>(dp_c_[u]));
-  for (VertexId x : comp_->dissimilar[u]) AdjustDpC(x, -1);
+  dp_pairs_c_ -= dp_c_[u];
+  for (VertexId x : comp_->dissimilar[u]) ApplyDpC(x, -1);
   if (to_e) {
-    for (VertexId x : comp_->dissimilar[u]) AdjustDpE(x, +1);
+    for (VertexId x : comp_->dissimilar[u]) ++dp_e_[x];
   }
 
   // u leaves M ∪ C: neighbors lose structure degree; under-k candidates are
   // queued for peeling (Thm 2); an under-k M vertex kills the branch.
-  AdjustEdgesMc(-static_cast<int64_t>(deg_mc_[u]));
+  edges_mc_ -= deg_mc_[u];
   for (VertexId v : comp_->graph.neighbors(u)) {
     VertexState sv = state_[v];
     if (sv == VertexState::kInC || sv == VertexState::kInM) {
-      AdjustDegMc(v, -1);
-      if (deg_mc_[v] < k_) {
+      if (--deg_mc_[v] < k_) {
         if (sv == VertexState::kInM) {
           dead_ = true;
         } else {
@@ -252,7 +248,7 @@ void SearchContext::DiscardFromC(VertexId u) {
 void SearchContext::DropFromE(VertexId u) {
   KRCORE_DCHECK(state_[u] == VertexState::kInE);
   ChangeState(u, VertexState::kRemoved);
-  for (VertexId x : comp_->dissimilar[u]) AdjustDpE(x, -1);
+  for (VertexId x : comp_->dissimilar[u]) --dp_e_[x];
 }
 
 void SearchContext::MoveToM(VertexId u) {
@@ -260,16 +256,16 @@ void SearchContext::MoveToM(VertexId u) {
   ChangeState(u, VertexState::kInM);
 
   // u leaves C (same DP(C) bookkeeping as a discard, but u stays in M ∪ C).
-  AdjustPairsC(-static_cast<int64_t>(dp_c_[u]));
-  for (VertexId x : comp_->dissimilar[u]) AdjustDpC(x, -1);
+  dp_pairs_c_ -= dp_c_[u];
+  for (VertexId x : comp_->dissimilar[u]) ApplyDpC(x, -1);
 
   // deg(·, M) grows for u's neighbors.
-  for (VertexId v : comp_->graph.neighbors(u)) AdjustDegM(v, +1);
+  for (VertexId v : comp_->graph.neighbors(u)) ++deg_m_[v];
 
   // Similarity pruning (Thm 3): u's dissimilar vertices cannot coexist with
   // M anymore — candidates are discarded, E members dropped.
   for (VertexId x : comp_->dissimilar[u]) {
-    AdjustDpM(x, +1);
+    ++dp_m_[x];
     if (state_[x] == VertexState::kInC) {
       DiscardFromC(x);
     } else if (state_[x] == VertexState::kInE) {
@@ -293,17 +289,19 @@ void SearchContext::DrainPeel() {
 void SearchContext::EnforceConnectivity() {
   while (!dead_) {
     if (mc_connected_ || m_list_.empty()) return;
-    // Graph search over M ∪ C starting from one M vertex. It stops as soon
-    // as every member is marked: the rest of the stack cannot change the
-    // verdict, and a disconnected M ∪ C always runs to exhaustion.
+    // Graph search over M ∪ C starting from one M vertex, recording its
+    // spanning tree. It stops as soon as every member is marked: the rest
+    // of the stack cannot change the verdict, and a disconnected M ∪ C
+    // always runs to exhaustion.
     if (++bfs_epoch_ == 0) {
       std::fill(bfs_mark_.begin(), bfs_mark_.end(), 0);
       bfs_epoch_ = 1;
     }
-    bfs_stack_.clear();
     const VertexId members = m_list_.size() + c_list_.size();
     VertexId start = m_list_.First();
     bfs_mark_[start] = bfs_epoch_;
+    tree_parent_[start] = kInvalidVertex;
+    tree_children_[start] = 0;
     bfs_stack_.push_back(start);
     VertexId marked = 1;
     while (!bfs_stack_.empty() && marked < members) {
@@ -314,11 +312,15 @@ void SearchContext::EnforceConnectivity() {
         if ((sv == VertexState::kInC || sv == VertexState::kInM) &&
             bfs_mark_[v] != bfs_epoch_) {
           bfs_mark_[v] = bfs_epoch_;
+          tree_parent_[v] = u;
+          tree_children_[v] = 0;
+          ++tree_children_[u];
           bfs_stack_.push_back(v);
           ++marked;
         }
       }
     }
+    bfs_stack_.clear();
     if (marked == members) {
       mc_connected_ = true;
       return;
@@ -333,17 +335,19 @@ void SearchContext::EnforceConnectivity() {
       }
     }
     // Unreached candidates cannot join any connected core containing M.
-    std::vector<VertexId> unreachable;
     for (VertexId u = c_list_.First(); u != kInvalidVertex;
          u = c_list_.Next(u)) {
-      if (bfs_mark_[u] != bfs_epoch_) unreachable.push_back(u);
+      if (bfs_mark_[u] != bfs_epoch_) unreachable_.push_back(u);
     }
-    for (VertexId u : unreachable) {
+    const bool discarded = !unreachable_.empty();
+    for (VertexId u : unreachable_) {
       if (state_[u] == VertexState::kInC) DiscardFromC(u);
-      if (dead_) return;
+      if (dead_) break;
     }
+    unreachable_.clear();
+    if (dead_) return;
     DrainPeel();
-    if (peel_queue_.empty() && unreachable.empty()) return;
+    if (peel_queue_.empty() && !discarded) return;
   }
 }
 

@@ -2,6 +2,7 @@
 #define KRCORE_CORE_SEARCH_CONTEXT_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/krcore_types.h"
@@ -12,7 +13,7 @@ namespace krcore {
 /// Intrusive doubly-linked list over a fixed vertex universe, with O(1)
 /// insert/remove. Used to iterate the M / C / E sets without scanning all
 /// vertices. Removal anywhere and front-insertion are both reversible, so
-/// the trail-based undo in SearchContext can restore membership.
+/// SearchContext's membership trail can undo them.
 class VertexList {
  public:
   void Init(VertexId n);
@@ -50,8 +51,10 @@ enum class VertexState : uint8_t {
 /// (Equations 1 and 2), the retention rule (Thm 4 / Remark 1) and the
 /// excluded-set maintenance that Theorems 5 and 6 rely on.
 ///
-/// All mutations are journaled on a trail; Mark()/RewindTo() give O(#changes)
-/// backtracking. All ids are component-local.
+/// Backtracking mixes trailing and copying: membership changes go on a trail
+/// and are replayed LIFO, while Mark() copies the per-vertex counters and
+/// RewindTo() copies them back, so a node pays O(#state changes + n) instead
+/// of one journal entry per ±1. All ids are component-local.
 class SearchContext {
  public:
   /// `track_excluded` keeps E and the dp_e counters up to date (needed by
@@ -61,12 +64,13 @@ class SearchContext {
   SearchContext(SearchContext&&) = default;
   SearchContext& operator=(SearchContext&&) = default;
 
-  /// Deep copy of the current live state with an *empty* trail: the copy
-  /// behaves exactly like the original under any op sequence, but its
-  /// Mark()/RewindTo() horizon starts at the fork point. This is what the
-  /// parallel drivers hand to a forked subtree task — the task explores its
-  /// branch on the copy while the original backtracks independently.
-  /// Must not be called on a dead context.
+  /// Deep copy of the current live state with an *empty* journal (no trail,
+  /// no checkpoints, no slab storage): the copy behaves exactly like the
+  /// original under any op sequence, but its Mark()/RewindTo() horizon
+  /// starts at the fork point. This is what the parallel drivers hand to a
+  /// forked subtree task — the task explores its branch on the copy while
+  /// the original backtracks independently. Must not be called on a dead
+  /// context.
   SearchContext Fork() const;
 
   const ComponentContext& component() const { return *comp_; }
@@ -126,9 +130,10 @@ class SearchContext {
   bool PromoteSimilarityFree(uint64_t* promotions);
 
   // ---- backtracking -------------------------------------------------------
-  /// Returns a checkpoint token for RewindTo.
-  size_t Mark() const { return trail_.size(); }
-  /// Restores the exact state at Mark(); clears the dead flag.
+  /// Pushes a checkpoint of the current state and returns its token.
+  size_t Mark();
+  /// Restores the exact state at Mark() and pops that checkpoint and every
+  /// later one, so each token is rewound at most once; clears the dead flag.
   void RewindTo(size_t mark);
 
   /// Members of M ∪ C (sorted ascending).
@@ -137,40 +142,70 @@ class SearchContext {
  private:
   friend class SearchContextTestPeer;
 
-  // Fork() is the only copy entry point: it resets the trail and scratch,
-  // which a raw member-wise copy would silently share semantics with.
+  // Fork() is the only copy entry point. The member-wise copy leaves the
+  // journal empty (see Journal) and the scratch buffers are empty between
+  // ops, so a fork copies live state only.
   SearchContext(const SearchContext&) = default;
   SearchContext& operator=(const SearchContext&) = delete;
 
-  enum class Op : uint8_t {
-    kState,     // payload: old state
-    kDegMc,     // payload: applied delta
-    kDegM,
-    kDpC,
-    kDpM,
-    kDpE,
-    kPairsC,    // global DP(C) delta (payload in TrailEntry::delta)
-    kEdgesMc,   // global edge-count delta (payload in TrailEntry::delta)
-  };
+  /// A membership change: u's state before it.
   struct TrailEntry {
-    Op op;
     VertexId u;
-    int64_t delta;
+    VertexState old;
   };
+  /// The scalars of one Mark(); its per-vertex arrays live in a slab record.
+  struct Checkpoint {
+    size_t trail_size;
+    uint64_t dp_pairs_c, edges_mc;
+    VertexId sf_count;
+    bool mc_connected;
+    uint32_t slab, slot;  // record position: journal_.slabs[slab], slot-th
+  };
+  /// Backtracking storage: the membership trail, the checkpoint stack and
+  /// the slabs holding the checkpoints' arrays. Slab i holds
+  /// kFirstSlabRecords << i records; a slab is allocated once, kept across
+  /// rewinds and never reallocated. Copying yields an empty journal, so a
+  /// fork carries none of its parent's storage.
+  struct Journal {
+    Journal() = default;
+    Journal(const Journal&) {}
+    Journal& operator=(const Journal&) = delete;
+    Journal(Journal&&) = default;
+    Journal& operator=(Journal&&) = default;
 
-  // Low-level journaled mutators (forward direction).
+    /// Heap bytes held (capacity, not use).
+    size_t Bytes(size_t record_words) const;
+
+    std::vector<TrailEntry> trail;
+    std::vector<Checkpoint> checkpoints;
+    std::vector<std::unique_ptr<uint32_t[]>> slabs;
+  };
+  static constexpr uint32_t kFirstSlabRecords = 4;
+
+  /// Moves u into state s: the trail entry, SF(C) accounting, list links.
+  /// Branch ops never move a vertex back into C; only RewindTo does.
   void ChangeState(VertexId u, VertexState s);
-  void AdjustDegMc(VertexId u, int32_t d);
-  void AdjustDegM(VertexId u, int32_t d);
-  void AdjustDpC(VertexId u, int32_t d);
-  void AdjustDpM(VertexId u, int32_t d);
-  void AdjustDpE(VertexId u, int32_t d);
-  void AdjustPairsC(int64_t d);
-  void AdjustEdgesMc(int64_t d);
-
-  // Shared bookkeeping used by both forward application and undo.
-  void ApplyState(VertexId u, VertexState s);
+  /// Moves u between the M / C / E lists; shared by ChangeState and the
+  /// trail replay in RewindTo.
+  void Relink(VertexId u, VertexState s);
+  /// dp_c_[u] += d with SF(C) accounting.
   void ApplyDpC(VertexId u, int32_t d);
+  /// Calls f on each per-vertex array a checkpoint record holds, in record
+  /// order: the counters (dp_e_ only while tracked), then, when `with_tree`,
+  /// the connectivity proof's tree.
+  template <typename F>
+  void ForEachRecordArray(bool with_tree, F&& f) {
+    for (std::vector<uint32_t>* a : {&deg_mc_, &deg_m_, &dp_c_, &dp_m_}) f(*a);
+    if (track_excluded_) f(dp_e_);
+    if (with_tree) {
+      f(tree_parent_);
+      f(tree_children_);
+    }
+  }
+  /// uint32 words in one slab record: every array ForEachRecordArray visits.
+  size_t RecordWords() const {
+    return (track_excluded_ ? 7 : 6) * static_cast<size_t>(state_.size());
+  }
 
   /// Discards u from C: destination E or Removed, dp/deg updates, enqueues
   /// under-degree neighbors. Never called for M vertices.
@@ -183,7 +218,8 @@ class SearchContext {
   void DrainPeel();
   /// Discards C vertices unreachable from M (when M is non-empty); kills the
   /// branch when M itself is not connected within M ∪ C. Loops with DrainPeel
-  /// until a fixpoint. Returns at once while mc_connected_ holds.
+  /// until a fixpoint. Returns at once while mc_connected_ holds; otherwise
+  /// a connected verdict records the search's spanning tree as the proof.
   void EnforceConnectivity();
 
   const ComponentContext* comp_;
@@ -198,15 +234,22 @@ class SearchContext {
   uint64_t edges_mc_ = 0;
   VertexId sf_count_ = 0;
   bool dead_ = false;
-  // Set when the connectivity BFS reached all of M ∪ C from a non-empty M;
-  // cleared whenever a vertex leaves M ∪ C (DiscardFromC) and on RewindTo.
-  // Moving a vertex from C to M keeps the vertex set, so the proof stands.
+  // The connectivity proof: set when the connectivity search reached all of
+  // M ∪ C from a non-empty M, with its spanning tree (tree_parent_, rooted
+  // at an M vertex, and each member's child count). Moving a vertex from C
+  // to M keeps the vertex set, so the proof stands; discarding a tree leaf
+  // keeps it too (the rest of the tree still spans); discarding an inner
+  // vertex clears it. Checkpoints save and restore the proof with its tree.
   bool mc_connected_ = false;
+  std::vector<VertexId> tree_parent_;
+  std::vector<uint32_t> tree_children_;
 
-  std::vector<TrailEntry> trail_;
+  Journal journal_;
+  // Scratch, empty between ops on a live context.
   std::vector<VertexId> peel_queue_;
-  // Scratch for connectivity BFS.
   std::vector<VertexId> bfs_stack_;
+  std::vector<VertexId> unreachable_;
+  // Connectivity search marks: bfs_mark_[u] == bfs_epoch_ iff reached.
   std::vector<uint32_t> bfs_mark_;
   uint32_t bfs_epoch_ = 0;
 };

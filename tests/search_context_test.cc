@@ -7,6 +7,63 @@
 #include "test_helpers.h"
 
 namespace krcore {
+
+/// Reads SearchContext's private backtracking state.
+class SearchContextTestPeer {
+ public:
+  /// Heap bytes held by the trail, the checkpoint stack and the slabs.
+  static size_t JournalBytes(const SearchContext& ctx) {
+    return ctx.journal_.Bytes(ctx.RecordWords());
+  }
+
+  static bool HasProof(const SearchContext& ctx) { return ctx.mc_connected_; }
+
+  /// When the connectivity proof is set, checks that its stored tree spans
+  /// M ∪ C over graph edges: one root, in M; every other member's parent is
+  /// a member and a graph neighbour; parent chains reach the root; and the
+  /// child counts match.
+  static void ExpectProofSpans(const SearchContext& ctx) {
+    if (!ctx.mc_connected_) return;
+    const ComponentContext& comp = ctx.component();
+    const VertexId n = comp.size();
+    auto in_mc = [&](VertexId v) {
+      return ctx.state(v) == VertexState::kInC ||
+             ctx.state(v) == VertexState::kInM;
+    };
+    std::vector<uint32_t> children(n, 0);
+    VertexId roots = 0, members = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!in_mc(v)) continue;
+      ++members;
+      const VertexId p = ctx.tree_parent_[v];
+      if (p == kInvalidVertex) {
+        ++roots;
+        EXPECT_EQ(ctx.state(v), VertexState::kInM) << "root " << v;
+        continue;
+      }
+      if (p >= n) {
+        ADD_FAILURE() << "parent of " << v << " out of range";
+        continue;
+      }
+      EXPECT_TRUE(in_mc(p)) << "parent of " << v << " left M ∪ C";
+      auto nbrs = comp.graph.neighbors(v);
+      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), p), nbrs.end())
+          << "tree edge " << v << "-" << p << " is not a graph edge";
+      ++children[p];
+    }
+    EXPECT_EQ(roots, 1u);
+    for (VertexId v = 0; v < n; ++v) {
+      if (!in_mc(v)) continue;
+      EXPECT_EQ(ctx.tree_children_[v], children[v]) << "child count of " << v;
+      VertexId x = v;
+      for (VertexId hops = 0; hops < members && x < n; ++hops) {
+        x = ctx.tree_parent_[x];
+      }
+      EXPECT_EQ(x, kInvalidVertex) << "parent chain of " << v << " cycles";
+    }
+  }
+};
+
 namespace {
 
 using test::MakeGrouped;
@@ -59,7 +116,9 @@ void CheckInvariants(const SearchContext& ctx) {
       }
       // Invariants (Eq 1, Eq 2).
       EXPECT_GE(deg_mc, ctx.k());
-      if (su == VertexState::kInM) EXPECT_EQ(dp_c + dp_m, 0u);
+      if (su == VertexState::kInM) {
+        EXPECT_EQ(dp_c + dp_m, 0u);
+      }
     }
     if (su == VertexState::kInE) {
       EXPECT_EQ(dp_m, 0u) << "E member dissimilar to M at " << u;
@@ -94,6 +153,7 @@ void CheckInvariants(const SearchContext& ctx) {
     EXPECT_EQ(reached, ctx.m_list().size() + ctx.c_list().size())
         << "M ∪ C is disconnected";
   }
+  SearchContextTestPeer::ExpectProofSpans(ctx);
 }
 
 TEST(VertexList, BasicOperations) {
@@ -349,68 +409,10 @@ Dataset MakeCliqueChain(uint64_t seed) {
   return dataset;
 }
 
-// Randomized trail torture: long random expand/shrink/promote/rewind
-// sequences keep all counters consistent and M ∪ C connected.
-class SearchContextFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SearchContextFuzz, RandomOpsKeepInvariants) {
-  for (bool chain : {false, true}) {
-    auto dataset = chain ? MakeCliqueChain(GetParam())
-                         : test::MakeRandomGeo(24, 80, GetParam());
-    SimilarityOracle oracle(&dataset.attributes, dataset.metric,
-                            chain ? 0.8 : 0.5);
-    PipelineOptions opts;
-    opts.k = 2;
-    std::vector<ComponentContext> comps;
-    ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
-    Rng rng(GetParam() * 77 + 1);
-    for (auto& comp : comps) {
-      SearchContext ctx(comp, 2, true);
-      std::vector<size_t> marks;
-      for (int step = 0; step < 200; ++step) {
-        CheckInvariants(ctx);
-        double roll = rng.NextDouble();
-        if (roll < 0.3 && !marks.empty()) {
-          ctx.RewindTo(marks.back());
-          marks.pop_back();
-          continue;
-        }
-        if (ctx.c_list().empty()) {
-          if (marks.empty()) break;
-          ctx.RewindTo(marks.back());
-          marks.pop_back();
-          continue;
-        }
-        // Pick a random candidate; branch ops are followed by the retention
-        // step (as in AdvEnum/AdvMax) half of the time, and promotion also
-        // runs alone.
-        auto members = ctx.c_list().Materialize();
-        VertexId u = members[rng.NextBounded(members.size())];
-        marks.push_back(ctx.Mark());
-        double op = rng.NextDouble();
-        bool alive;
-        if (op < 0.1) {
-          alive = ctx.PromoteSimilarityFree(nullptr);
-        } else {
-          alive = op < 0.55 ? ctx.Expand(u) : ctx.Shrink(u);
-          if (alive && rng.NextBernoulli(0.5)) {
-            alive = ctx.PromoteSimilarityFree(nullptr);
-          }
-        }
-        if (!alive) {
-          ctx.RewindTo(marks.back());
-          marks.pop_back();
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SearchContextFuzz,
-                         ::testing::Range<uint64_t>(0, 24));
-
 /// Compares every piece of observable state between two contexts over the
-/// same component.
+/// same component: counters, the M / C / E sets and whether the
+/// connectivity proof is set. List order is not compared: a rewind restores
+/// membership, not the order a snapshot fork copied.
 void ExpectSameState(const SearchContext& a, const SearchContext& b) {
   const VertexId n = a.component().size();
   ASSERT_EQ(n, b.component().size());
@@ -418,6 +420,8 @@ void ExpectSameState(const SearchContext& a, const SearchContext& b) {
   EXPECT_EQ(a.dissimilar_pairs_c(), b.dissimilar_pairs_c());
   EXPECT_EQ(a.edges_mc(), b.edges_mc());
   EXPECT_EQ(a.sf_count(), b.sf_count());
+  EXPECT_EQ(SearchContextTestPeer::HasProof(a),
+            SearchContextTestPeer::HasProof(b));
   for (VertexId u = 0; u < n; ++u) {
     EXPECT_EQ(a.state(u), b.state(u)) << "state mismatch at " << u;
     EXPECT_EQ(a.deg_m(u), b.deg_m(u)) << "deg_m mismatch at " << u;
@@ -439,9 +443,78 @@ void ExpectSameState(const SearchContext& a, const SearchContext& b) {
   EXPECT_EQ(a.MaterializeMC(), b.MaterializeMC());
 }
 
+// Randomized backtracking torture: long random expand/shrink/promote/rewind
+// sequences keep all counters consistent and M ∪ C connected, and every
+// rewind restores exactly the state a fork snapshotted at its Mark().
+class SearchContextFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SearchContextFuzz, RandomOpsKeepInvariants) {
+  uint64_t restored_proofs = 0;
+  for (bool chain : {false, true}) {
+    auto dataset = chain ? MakeCliqueChain(GetParam())
+                         : test::MakeRandomGeo(24, 80, GetParam());
+    SimilarityOracle oracle(&dataset.attributes, dataset.metric,
+                            chain ? 0.8 : 0.5);
+    PipelineOptions opts;
+    opts.k = 2;
+    std::vector<ComponentContext> comps;
+    ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
+    Rng rng(GetParam() * 77 + 1);
+    for (auto& comp : comps) {
+      SearchContext ctx(comp, 2, true);
+      std::vector<size_t> marks;
+      std::vector<SearchContext> snapshots;
+      auto rewind = [&] {
+        ctx.RewindTo(marks.back());
+        marks.pop_back();
+        ExpectSameState(ctx, snapshots.back());
+        snapshots.pop_back();
+        restored_proofs += SearchContextTestPeer::HasProof(ctx);
+      };
+      for (int step = 0; step < 200; ++step) {
+        CheckInvariants(ctx);
+        double roll = rng.NextDouble();
+        if (roll < 0.3 && !marks.empty()) {
+          rewind();
+          continue;
+        }
+        if (ctx.c_list().empty()) {
+          if (marks.empty()) break;
+          rewind();
+          continue;
+        }
+        // Pick a random candidate; branch ops are followed by the retention
+        // step (as in AdvEnum/AdvMax) half of the time, and promotion also
+        // runs alone.
+        auto members = ctx.c_list().Materialize();
+        VertexId u = members[rng.NextBounded(members.size())];
+        marks.push_back(ctx.Mark());
+        snapshots.push_back(ctx.Fork());
+        double op = rng.NextDouble();
+        bool alive;
+        if (op < 0.1) {
+          alive = ctx.PromoteSimilarityFree(nullptr);
+        } else {
+          alive = op < 0.55 ? ctx.Expand(u) : ctx.Shrink(u);
+          if (alive && rng.NextBernoulli(0.5)) {
+            alive = ctx.PromoteSimilarityFree(nullptr);
+          }
+        }
+        if (!alive) rewind();
+      }
+    }
+  }
+  // Rewinds back into a node whose proof stood: the restored-proof path.
+  EXPECT_GT(restored_proofs, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SearchContextFuzz,
+                         ::testing::Range<uint64_t>(0, 24));
+
 /// Fork equivalence: a forked context behaves exactly like the original
 /// under a shared random op sequence (including rewinds relative to
-/// per-context marks), and its own trail starts empty at the fork point.
+/// per-context marks), its journal starts empty at the fork point, and
+/// every rewind restores the state a snapshot fork took at its Mark().
 class SearchContextForkSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
@@ -468,13 +541,19 @@ TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
         if (!alive) original.RewindTo(mark);
       }
 
+      ASSERT_GT(SearchContextTestPeer::JournalBytes(original), 0u);
       SearchContext fork = original.Fork();
-      EXPECT_EQ(fork.Mark(), 0u) << "fork must start with an empty trail";
+      EXPECT_EQ(SearchContextTestPeer::JournalBytes(fork), 0u)
+          << "a fork must copy no journal or checkpoint storage";
       ExpectSameState(original, fork);
+      const SearchContext at_fork = original.Fork();
+      const size_t fork_root = fork.Mark();
 
       // Drive both with identical decisions; rewinds use per-context marks
-      // (the fork's trail is rooted at the fork point, the original's is not).
+      // (the fork's journal is rooted at the fork point, the original's is
+      // not).
       std::vector<size_t> marks_o, marks_f;
+      std::vector<SearchContext> snapshots;
       for (int step = 0; step < 120; ++step) {
         double roll = rng.NextDouble();
         if ((roll < 0.3 && !marks_o.empty()) || original.c_list().empty()) {
@@ -484,6 +563,8 @@ TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
           marks_o.pop_back();
           marks_f.pop_back();
           ExpectSameState(original, fork);
+          ExpectSameState(fork, snapshots.back());
+          snapshots.pop_back();
           continue;
         }
         auto members = original.c_list().Materialize();
@@ -491,6 +572,7 @@ TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
         VertexId u = members[rng.NextBounded(members.size())];
         marks_o.push_back(original.Mark());
         marks_f.push_back(fork.Mark());
+        snapshots.push_back(fork.Fork());
         double op = rng.NextDouble();
         bool alive_o, alive_f;
         if (op < 0.45) {
@@ -515,12 +597,15 @@ TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
           fork.RewindTo(marks_f.back());
           marks_o.pop_back();
           marks_f.pop_back();
+          ExpectSameState(fork, snapshots.back());
+          snapshots.pop_back();
         }
         ExpectSameState(original, fork);
         CheckInvariants(fork);
       }
       // Unwinding the fork to its root restores the fork-point state exactly.
-      fork.RewindTo(0);
+      fork.RewindTo(fork_root);
+      ExpectSameState(fork, at_fork);
       while (!marks_o.empty()) {
         original.RewindTo(marks_o.back());
         marks_o.pop_back();
