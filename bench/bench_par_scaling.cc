@@ -5,7 +5,7 @@
 //   max:  AdvMax on Gowalla, k=5, r=30km (the Fig 14(a) regime) — after
 //         preprocessing the runtime is dominated by one giant component,
 //         the case per-component parallelism alone cannot speed up and the
-//         split_depth subtree forking exists for.
+//         on-demand subtree forking exists for.
 //
 // The enumeration output is checked byte-identical across thread counts and
 // the maximum size schedule-independent; the exit code is 1 on a mismatch,
@@ -14,8 +14,8 @@
 // config.hardware_concurrency in the JSON: wall-clock speedup can only
 // materialize up to the physical core count.
 //
-// Usage: bench_par_scaling [--scale=] [--timeout=] [--quick]
-//                          [--split_depth=6] [--csv=] [--json=]
+// Usage: bench_par_scaling [--scale=] [--timeout=] [--quick] [--csv=]
+//                          [--json=]
 
 #include <cstdio>
 #include <string>
@@ -71,8 +71,6 @@ void PrintSpeedups(const FigureReport& report) {
 int main(int argc, char** argv) {
   OptionParser options(argc, argv);
   auto env = ExperimentEnv::FromOptions(options);
-  uint32_t split_depth = static_cast<uint32_t>(
-      options.GetInt("split_depth", ParallelOptions{}.split_depth));
   std::vector<uint32_t> thread_counts =
       env.quick ? std::vector<uint32_t>{1, 2}
                 : std::vector<uint32_t>{1, 2, 4, 8};
@@ -90,7 +88,6 @@ int main(int argc, char** argv) {
     for (uint32_t t : thread_counts) {
       EnumOptions opts = MakeEnumVariant("AdvEnum", 5, env.timeout_seconds);
       opts.parallel.num_threads = t;
-      opts.parallel.split_depth = split_depth;
       auto result = EnumerateMaximalCores(gowalla.graph, oracle, opts);
       char label[32];
       std::snprintf(label, sizeof(label), "threads=%u", t);
@@ -124,7 +121,6 @@ int main(int argc, char** argv) {
     for (uint32_t t : thread_counts) {
       MaxOptions opts = MakeMaxVariant("AdvMax", 5, env.timeout_seconds);
       opts.parallel.num_threads = t;
-      opts.parallel.split_depth = split_depth;
       auto result = FindMaximumCore(gowalla.graph, oracle, opts);
       char label[32];
       std::snprintf(label, sizeof(label), "threads=%u", t);
@@ -150,8 +146,8 @@ int main(int argc, char** argv) {
   if (!env.json_path.empty()) {
     char command[160];
     std::snprintf(command, sizeof(command),
-                  "bench_par_scaling --scale=%g --timeout=%g --split_depth=%u",
-                  env.scale, env.timeout_seconds, split_depth);
+                  "bench_par_scaling --scale=%g --timeout=%g", env.scale,
+                  env.timeout_seconds);
     WriteJsonReport(
         env.json_path, "bench_par_scaling",
         "Thread scaling of the task-pool search drivers (per-component roots "

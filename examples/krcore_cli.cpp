@@ -219,8 +219,6 @@ int main(int argc, char** argv) {
         "  --join=S          pair-discovery strategy for the preprocessing\n"
         "                    self-join: auto (default; certified filter when\n"
         "                    one applies), brute (O(n^2) baseline), filtered\n"
-        "  --split_depth=D   fork subtree tasks down to depth D (default 6,\n"
-        "                    0 = per-component parallelism only)\n"
         "  --bound_refresh=N recompute the expensive size bound at most\n"
         "                    every N nodes (max mode, default 64)\n"
         "  --no_seed         skip the greedy incumbent seed (max mode)\n"
@@ -286,10 +284,8 @@ int main(int argc, char** argv) {
   double timeout = options.GetDouble("timeout", 60.0);
   std::string mode = options.GetString("mode", "enum");
   // 1 = sequential, 0 = all hardware cores (per-component parallelism plus
-  // intra-component subtree splitting down to --split_depth).
+  // intra-component subtree forking while the task pool runs low on work).
   uint32_t threads = static_cast<uint32_t>(options.GetInt("threads", 1));
-  uint32_t split_depth = static_cast<uint32_t>(
-      options.GetInt("split_depth", ParallelOptions{}.split_depth));
   int64_t bound_refresh =
       options.GetInt("bound_refresh", MaxOptions{}.bound_refresh);
   if (bound_refresh <= 0) {
@@ -308,7 +304,6 @@ int main(int argc, char** argv) {
     opts.deadline = Deadline::AfterSeconds(timeout);
     opts.preprocess.join_strategy = join_strategy;
     opts.parallel.num_threads = threads;
-    opts.parallel.split_depth = split_depth;
     return opts;
   };
   auto MakeMaxOptions = [&](uint32_t k) {
@@ -316,7 +311,6 @@ int main(int argc, char** argv) {
     opts.deadline = Deadline::AfterSeconds(timeout);
     opts.preprocess.join_strategy = join_strategy;
     opts.parallel.num_threads = threads;
-    opts.parallel.split_depth = split_depth;
     opts.bound_refresh = static_cast<uint32_t>(bound_refresh);
     opts.use_seed_incumbent = !options.GetBool("no_seed", false);
     return opts;

@@ -67,7 +67,7 @@ struct ComponentJob {
 ///
 ///   static SearchContext RootContext(const Job&)  the root node's context
 ///   const Options& options() const                the run's options
-///   Status Visit(uint32_t depth, State state)     one node: prune, emit, or
+///   Status Visit(State state)                     one node: prune, emit, or
 ///                                                 choose u and Branch()
 ///   Part TakePart()                               what the finished task
 ///                                                 deposits in its job
@@ -92,25 +92,23 @@ class BranchTask {
   static void RunRoot(std::shared_ptr<Job> job) {
     SearchContext ctx = Derived::RootContext(*job);
     Derived task(std::move(job), std::move(ctx), TaskPath{});
-    task.Finish(task.Descend(/*depth=*/0, State{}));
+    task.Finish(task.Descend(State{}));
   }
 
  protected:
-  /// Explores both branches on `u`, the `expand_first` one first. Above the
-  /// split depth, while the pool's backlog is low, the second-visited branch
-  /// is forked onto the pool and the first continues inline. Once the pool
-  /// has a backlog, queued forks are dead weight (each holds a full state
-  /// copy), so both branches run inline.
-  Status Branch(VertexId u, bool expand_first, uint32_t depth,
-                const State& state) {
-    if (job_->pool != nullptr &&
-        depth < self().options().parallel.split_depth &&
-        job_->pool->BacklogLow()) {
-      Spawn(!expand_first, u, depth + 1, state);
-      return Step(expand_first, u, depth + 1, state);
+  /// Explores both branches on `u`, the `expand_first` one first. At any
+  /// depth, while the pool's backlog is low, the second-visited branch is
+  /// forked onto the pool and the first continues inline (lazy task
+  /// creation: forks happen where idle workers need work). Once the pool
+  /// has a backlog, queued forks are dead weight (each holds a copy of the
+  /// live state), so both branches run inline.
+  Status Branch(VertexId u, bool expand_first, const State& state) {
+    if (job_->pool != nullptr && job_->pool->BacklogLow()) {
+      Spawn(!expand_first, u, state);
+      return Step(expand_first, u, state);
     }
-    if (Status s = Step(expand_first, u, depth + 1, state); !s.ok()) return s;
-    return Step(!expand_first, u, depth + 1, state);
+    if (Status s = Step(expand_first, u, state); !s.ok()) return s;
+    return Step(!expand_first, u, state);
   }
 
   std::shared_ptr<Job> job_;
@@ -121,15 +119,15 @@ class BranchTask {
   Derived& self() { return static_cast<Derived&>(*this); }
 
   /// Enters a node: the retention fixpoint (Thm 4), then the node body.
-  Status Descend(uint32_t depth, const State& state) {
+  Status Descend(const State& state) {
     const bool alive = !self().options().use_retention ||
                        ctx_.PromoteSimilarityFree(&stats_.promotions);
-    return alive ? self().Visit(depth, state) : Status::OK();
+    return alive ? self().Visit(state) : Status::OK();
   }
 
   /// The branch step: expand u into M or shrink it out of C, descend, and
   /// rewind to the state before the step.
-  Status Step(bool expand, VertexId u, uint32_t depth, const State& state) {
+  Status Step(bool expand, VertexId u, const State& state) {
     const size_t mark = ctx_.Mark();
     bool alive;
     if (expand) {
@@ -139,28 +137,28 @@ class BranchTask {
       ++stats_.shrink_branches;
       alive = ctx_.Shrink(u);
     }
-    Status s = alive ? Descend(depth, state) : Status::OK();
+    Status s = alive ? Descend(state) : Status::OK();
     ctx_.RewindTo(mark);
     return s;
   }
 
   /// Subtree task: a deep copy of the current state that applies the
   /// deferred branch step itself on a pool worker.
-  void Spawn(bool expand, VertexId u, uint32_t depth, const State& state) {
+  void Spawn(bool expand, VertexId u, const State& state) {
     TaskPath child_path = path_;
     child_path.push_back(spawn_seq_++);
     // std::function requires copyable captures; box the moveable state.
     auto forked = std::make_shared<SearchContext>(ctx_.Fork());
     auto boxed_path = std::make_shared<TaskPath>(std::move(child_path));
     auto job = job_;
-    job_->pool->Submit([job, forked, boxed_path, expand, u, depth, state] {
+    job_->pool->Submit([job, forked, boxed_path, expand, u, state] {
       if (job->failed->load(std::memory_order_relaxed)) {
         job->Finish(MiningStats(), Status::OK(), std::move(*boxed_path),
                     Part());
         return;
       }
       Derived task(job, std::move(*forked), std::move(*boxed_path));
-      task.Finish(task.Step(expand, u, depth, state));
+      task.Finish(task.Step(expand, u, state));
     });
   }
 

@@ -49,15 +49,13 @@ MaximalCoresResult EnumerateByCliqueMethod(const Graph& g,
 
   auto components = ComponentsOfSubset(structure, core_vertices);
 
-  // Pairwise-similarity budget guard (same role as the pipeline's; 0 means
-  // unlimited).
+  // Pairwise-similarity budget guard (0 means unlimited).
   uint64_t pair_budget = 0;
   for (const auto& comp : components) {
     const uint64_t sz = comp.size();
     pair_budget += sz * (sz - 1) / 2;
   }
-  if (options.preprocess.max_pair_budget > 0 &&
-      pair_budget > options.preprocess.max_pair_budget) {
+  if (options.max_pair_budget > 0 && pair_budget > options.max_pair_budget) {
     result.status = Status::ResourceExhausted(
         "clique method similarity-graph budget exceeded");
     return result;

@@ -1,8 +1,9 @@
 #ifndef KRCORE_CORE_CLIQUE_METHOD_H_
 #define KRCORE_CORE_CLIQUE_METHOD_H_
 
+#include <cstdint>
+
 #include "core/krcore_types.h"
-#include "core/preprocess_options.h"
 #include "graph/graph.h"
 #include "similarity/similarity_oracle.h"
 #include "util/timer.h"
@@ -12,11 +13,12 @@ namespace krcore {
 struct CliqueMethodOptions {
   uint32_t k = 3;
   Deadline deadline;
-  /// Shared preprocessing knobs; only max_pair_budget applies here. Unlike
-  /// the pipeline, the clique method materializes each component's full
-  /// similarity *graph* in memory (nothing is streamed), so the legacy 64M
-  /// default guard is kept; set 0 explicitly for unlimited.
-  PreprocessOptions preprocess{.max_pair_budget = 64ull << 20};
+  /// Hard guard on the pairs whose similarity graph is materialized (sum
+  /// over components of |comp|^2 / 2); a run above it returns
+  /// ResourceExhausted. Unlike the pipeline, the clique method holds each
+  /// component's full similarity *graph* in memory (nothing is streamed).
+  /// 0 = unlimited.
+  uint64_t max_pair_budget = 64ull << 20;
 };
 
 /// The improved clique-based baseline of Sec 3 (Clique+): after the shared

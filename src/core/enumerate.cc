@@ -41,7 +41,7 @@ class ComponentEnumerator
   ResultSet TakePart() { return std::move(results_); }
 
   /// One search node: prune/terminate/emit or branch (Algorithm 3).
-  Status Visit(uint32_t depth, std::monostate) {
+  Status Visit(std::monostate) {
     if ((stats_.search_nodes++ & 0x3F) == 0 && options().deadline.Expired()) {
       return Status::DeadlineExceeded("enumeration budget expired");
     }
@@ -74,7 +74,7 @@ class ComponentEnumerator
     // finds the same set it would have found sequentially; the path tag
     // fixes the merge order and the final canonical sort makes the output
     // schedule-independent.
-    return Branch(choice.vertex, choice.expand_first, depth, {});
+    return Branch(choice.vertex, choice.expand_first, {});
   }
 
   /// Emits the connected components of M ∪ C as candidate (k,r)-cores,

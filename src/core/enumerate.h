@@ -47,17 +47,16 @@ struct EnumOptions {
   /// Status::DeadlineExceeded (rendered as INF by the benches).
   Deadline deadline;
 
-  /// Shared preprocessing knobs (join strategy, blocked pair builder,
-  /// optional budget).
+  /// Shared preprocessing knobs (join strategy, blocked pair builder).
   PreprocessOptions preprocess;
 
   /// Parallel search: component roots plus intra-component subtree tasks
-  /// (forked down to parallel.split_depth) on one shared work-stealing
-  /// pool. Completed runs return an identical result set for every thread
-  /// count and split depth. Deadline-expired runs return a partial,
+  /// (forked whenever the pool's backlog is low) on one shared
+  /// work-stealing pool. Completed runs return an identical result set for
+  /// every thread count. Deadline-expired runs return a partial,
   /// schedule-dependent set: concurrent tasks each emit until their own
   /// deadline check fires, so the partial set can differ from — and with
-  /// subtree splitting even exceed — the sequential partial set.
+  /// subtree forking even exceed — the sequential partial set.
   ParallelOptions parallel;
 };
 

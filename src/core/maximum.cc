@@ -106,7 +106,7 @@ class ComponentMaximizer
 
   /// One search node. `cache` travels by value so each branch inherits the
   /// tightest ancestor bound and backtracking needs no undo.
-  Status Visit(uint32_t depth, BoundCache cache) {
+  Status Visit(BoundCache cache) {
     if ((stats_.search_nodes++ & 0x3F) == 0 && options().deadline.Expired()) {
       return Status::DeadlineExceeded("maximum search budget expired");
     }
@@ -164,7 +164,7 @@ class ComponentMaximizer
                        /*sum_branches=*/false);
     // A forked branch prunes against the live incumbent through SharedBest,
     // so cross-task pruning matches the sequential schedule's intent.
-    return Branch(choice.vertex, choice.expand_first, depth, cache);
+    return Branch(choice.vertex, choice.expand_first, cache);
   }
 
   void Emit() {

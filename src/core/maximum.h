@@ -47,17 +47,16 @@ struct MaxOptions {
 
   Deadline deadline;
 
-  /// Shared preprocessing knobs (join strategy, blocked pair builder,
-  /// optional budget).
+  /// Shared preprocessing knobs (join strategy, blocked pair builder).
   PreprocessOptions preprocess;
 
   /// Parallel search: component roots plus intra-component subtree tasks
-  /// (forked down to parallel.split_depth) on one shared work-stealing
-  /// pool. All tasks share the incumbent best size through an atomic, so a
-  /// large core found anywhere immediately tightens the bound pruning
-  /// everywhere. The maximum *size* is deterministic for any thread count
-  /// and split depth; among equal-sized maxima the lexicographically
-  /// smallest reachable one is preferred.
+  /// (forked whenever the pool's backlog is low) on one shared
+  /// work-stealing pool. All tasks share the incumbent best size through an
+  /// atomic, so a large core found anywhere immediately tightens the bound
+  /// pruning everywhere. The maximum *size* is deterministic for any thread
+  /// count; among equal-sized maxima the lexicographically smallest
+  /// reachable one is preferred.
   ParallelOptions parallel;
 };
 

@@ -14,17 +14,12 @@ namespace krcore {
 /// Thread configuration for the parallel search drivers.
 /// Sec 4.1 guarantees every (k,r)-core lives inside exactly one component
 /// of the preprocessed graph, so components are independent search units;
-/// `split_depth` additionally lets the drivers fork subtrees *inside* a
-/// component so one giant component can still saturate every core.
+/// the drivers additionally fork subtrees *inside* a component whenever the
+/// pool runs low on queued work (TaskPool::BacklogLow), so one giant
+/// component can still saturate every core.
 struct ParallelOptions {
   /// 1 = sequential (default), 0 = one thread per hardware core.
   uint32_t num_threads = 1;
-
-  /// Maximum search-tree depth at which a branch node forks its
-  /// second-visited branch into a task on the shared pool (so a component
-  /// produces at most 2^split_depth tasks). 0 restricts parallelism to the
-  /// per-component level. Only consulted when num_threads resolves > 1.
-  uint32_t split_depth = 6;
 
   /// num_threads with 0 resolved to std::thread::hardware_concurrency()
   /// (minimum 1).
@@ -47,7 +42,7 @@ uint32_t ResolveThreadCount(uint32_t requested, uint32_t hardware);
 /// when the transitive closure has drained.
 ///
 /// All queue state is guarded by one mutex: tasks here are coarse subtree
-/// searches (hundreds per run, not millions), so simplicity and clean
+/// searches (thousands per run, not millions), so simplicity and clean
 /// ThreadSanitizer semantics beat lock-free deques.
 class TaskPool {
  public:
@@ -78,11 +73,11 @@ class TaskPool {
   uint64_t tasks_stolen() const;
 
   /// True while the queued (not yet running) backlog is below 2 tasks per
-  /// worker. Forking a subtree costs a deep state copy that sits in a deque
+  /// worker. Forking a subtree costs a state copy that sits in a deque
   /// until a worker frees up, so the search drivers consult this before
-  /// Fork(): once every worker has spare work queued, exploring the branch
-  /// inline is both faster and bounds queued-copy memory to O(threads)
-  /// instead of O(2^split_depth) per component.
+  /// every Fork(): once every worker has spare work queued, exploring the
+  /// branch inline is faster, and queued-copy memory stays O(threads) at
+  /// any search depth.
   bool BacklogLow() const;
 
  private:

@@ -118,19 +118,12 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
   // Line 4: connected components (within the k-core).
   auto components = ComponentsOfSubset(similar_only, core_vertices);
 
-  // Optional legacy guard on the O(|comp|^2) pairwise work. The blocked
-  // builder below streams tiles, so by default (budget 0) any component
-  // size is accepted.
+  // The O(|comp|^2) pair space the join settles. The blocked builder below
+  // streams tiles, so any component size is accepted.
   uint64_t total_pairs = 0;
   for (const auto& comp : components) {
     const uint64_t sz = comp.size();
     total_pairs += sz * (sz - 1) / 2;
-  }
-  if (options.preprocess.max_pair_budget > 0 &&
-      total_pairs > options.preprocess.max_pair_budget) {
-    return Status::ResourceExhausted(
-        "component pairwise-similarity budget exceeded; raise or zero "
-        "PreprocessOptions::max_pair_budget (0 = unlimited)");
   }
 
   // Components are independent: build their contexts in parallel. Each slot

@@ -110,9 +110,9 @@ struct PipelineOptions {
   /// substrate. Setting it equal to the oracle's threshold annotates
   /// scores without widening the serving range.
   double score_cover = std::numeric_limits<double>::quiet_NaN();
-  /// Wall-clock budget for the pair sweep itself: with no default pair
-  /// budget the O(n^2) evaluation can be long, so the mining entry points
-  /// forward their deadline here and expiry yields DeadlineExceeded.
+  /// Wall-clock budget for the pair sweep itself: with no pair budget the
+  /// O(n^2) evaluation can be long, so the mining entry points forward
+  /// their deadline here and expiry yields DeadlineExceeded.
   Deadline deadline;
 
   bool annotate_scores() const { return !std::isnan(score_cover); }

@@ -13,8 +13,8 @@ namespace krcore {
 
 /// Shared configuration for the Algorithm 1 preprocessing (dissimilar-edge
 /// removal -> k-core -> components -> dissimilarity materialization).
-/// Embedded by PipelineOptions, EnumOptions, MaxOptions and
-/// CliqueMethodOptions so the knobs cannot drift between entry points.
+/// Embedded by PipelineOptions, EnumOptions and MaxOptions so the knobs
+/// cannot drift between entry points.
 struct PreprocessOptions {
   /// Pair-discovery strategy for the per-component similarity self-join
   /// (src/similarity/join/): kAuto/kFiltered run the certified
@@ -24,13 +24,6 @@ struct PreprocessOptions {
   /// Every strategy builds the identical substrate — bit-identical pair
   /// sets and stored scores — so this is purely a performance knob.
   JoinStrategy join_strategy = JoinStrategy::kAuto;
-
-  /// Optional hard guard on the number of pairwise similarity evaluations
-  /// (sum over components of |comp|^2 / 2). 0 — the default — means
-  /// unlimited: the blocked builder streams pairs tile by tile, so large
-  /// components no longer require a refusal. Set a positive value to get
-  /// the legacy ResourceExhausted behavior for latency-bound callers.
-  uint64_t max_pair_budget = 0;
 
   /// Rows per tile in the blocked pair evaluation. Tiles keep both
   /// attribute ranges hot in cache during the O(n^2) similarity sweep.

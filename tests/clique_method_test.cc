@@ -49,6 +49,21 @@ TEST_P(CliqueMethodSweep, MatchesNaiveOracle) {
 INSTANTIATE_TEST_SUITE_P(Sweep, CliqueMethodSweep,
                          ::testing::Range<uint64_t>(0, 8));
 
+TEST(CliqueMethod, PairBudgetRefusesOversizedComponents) {
+  // A triangle is one k=2 component with 3 pairs: above a budget of 1, so
+  // the method refuses before materializing any similarity graph.
+  auto fixture = test::MakeGrouped(3, {{0, 1}, {1, 2}, {0, 2}}, {0, 0, 0});
+  auto oracle = fixture.MakeOracle();
+  CliqueMethodOptions copts;
+  copts.k = 2;
+  copts.max_pair_budget = 1;
+  EXPECT_TRUE(EnumerateByCliqueMethod(fixture.graph, oracle, copts)
+                  .status.IsResourceExhausted());
+  copts.max_pair_budget = 0;  // unlimited
+  EXPECT_TRUE(
+      EnumerateByCliqueMethod(fixture.graph, oracle, copts).status.ok());
+}
+
 TEST(CliqueMethod, DeadlinePropagates) {
   auto dataset = test::MakeRandomGeo(50, 300, 5);
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.9);

@@ -192,10 +192,12 @@ TEST(ParallelEnum, BasicVariantAlsoDeterministic) {
   EnumOptions opts = BasicEnumOptions(2);
   auto sequential = EnumerateMaximalCores(dataset.graph, oracle, opts);
   ASSERT_TRUE(sequential.status.ok());
-  opts.parallel.num_threads = 4;
-  auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
-  ASSERT_TRUE(parallel.status.ok());
-  EXPECT_EQ(parallel.cores, sequential.cores);
+  for (uint32_t threads : {2u, 4u, 8u}) {
+    opts.parallel.num_threads = threads;
+    auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
+    ASSERT_TRUE(parallel.status.ok());
+    EXPECT_EQ(parallel.cores, sequential.cores) << "threads=" << threads;
+  }
 }
 
 class ParallelMaxSweep : public ::testing::TestWithParam<uint64_t> {};
@@ -206,7 +208,7 @@ TEST_P(ParallelMaxSweep, ThreadsDoNotChangeMaximumSize) {
   MaxOptions opts = AdvMaxOptions(2);
   auto sequential = FindMaximumCore(dataset.graph, oracle, opts);
   ASSERT_TRUE(sequential.status.ok());
-  for (uint32_t threads : {2u, 4u}) {
+  for (uint32_t threads : {2u, 4u, 8u}) {
     opts.parallel.num_threads = threads;
     auto parallel = FindMaximumCore(dataset.graph, oracle, opts);
     ASSERT_TRUE(parallel.status.ok());
@@ -220,73 +222,30 @@ TEST_P(ParallelMaxSweep, ThreadsDoNotChangeMaximumSize) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelMaxSweep,
                          ::testing::Range<uint64_t>(0, 6));
 
-/// Acceptance requirement for intra-component splitting: with subtree tasks
-/// enabled (any split_depth), the enumeration result set is byte-identical
-/// to the 1-thread run, and the maximum size matches.
+/// Acceptance requirement for intra-component forking: every multi-threaded
+/// run forks subtrees inside components, and its enumeration result set is
+/// byte-identical to the 1-thread run.
 class SubtreeSplitSweep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SubtreeSplitSweep, EnumIdenticalAcrossThreadsAndSplitDepths) {
+TEST_P(SubtreeSplitSweep, EnumForksAndStaysIdenticalAcrossThreads) {
   auto dataset = test::MakeRandomGeo(60, 260, GetParam());
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
   EnumOptions opts = AdvEnumOptions(2);
-  opts.parallel.split_depth = 0;
   auto sequential = EnumerateMaximalCores(dataset.graph, oracle, opts);
   ASSERT_TRUE(sequential.status.ok());
-  for (uint32_t split_depth : {2u, 16u}) {
-    for (uint32_t threads : {2u, 4u}) {
-      opts.parallel.num_threads = threads;
-      opts.parallel.split_depth = split_depth;
-      auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
-      ASSERT_TRUE(parallel.status.ok());
-      EXPECT_EQ(parallel.cores, sequential.cores)
-          << "threads=" << threads << " split_depth=" << split_depth
-          << " seed=" << GetParam();
-      // Deep splitting on a multi-threaded run must actually fork subtrees:
-      // more tasks than components.
-      if (split_depth == 16u) {
-        EXPECT_GT(parallel.stats.tasks_spawned, parallel.stats.components)
-            << "seed=" << GetParam();
-      }
-    }
-  }
-}
-
-TEST_P(SubtreeSplitSweep, MaxSizeIdenticalAcrossThreadsAndSplitDepths) {
-  auto dataset = test::MakeRandomGeo(60, 260, GetParam());
-  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
-  MaxOptions opts = AdvMaxOptions(2);
-  opts.parallel.split_depth = 0;
-  auto sequential = FindMaximumCore(dataset.graph, oracle, opts);
-  ASSERT_TRUE(sequential.status.ok());
-  for (uint32_t split_depth : {2u, 16u}) {
-    for (uint32_t threads : {2u, 4u}) {
-      opts.parallel.num_threads = threads;
-      opts.parallel.split_depth = split_depth;
-      auto parallel = FindMaximumCore(dataset.graph, oracle, opts);
-      ASSERT_TRUE(parallel.status.ok());
-      EXPECT_EQ(parallel.best.size(), sequential.best.size())
-          << "threads=" << threads << " split_depth=" << split_depth
-          << " seed=" << GetParam();
-    }
+  for (uint32_t threads : {2u, 4u, 8u}) {
+    opts.parallel.num_threads = threads;
+    auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
+    ASSERT_TRUE(parallel.status.ok());
+    EXPECT_EQ(parallel.cores, sequential.cores)
+        << "threads=" << threads << " seed=" << GetParam();
+    EXPECT_GT(parallel.stats.tasks_spawned, parallel.stats.components)
+        << "threads=" << threads << " seed=" << GetParam();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SubtreeSplitSweep,
                          ::testing::Range<uint64_t>(0, 6));
-
-TEST(SubtreeSplit, BasicEnumAlsoIdenticalWithSplitting) {
-  auto dataset = test::MakeRandomGeo(50, 220, 3);
-  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
-  EnumOptions opts = BasicEnumOptions(2);
-  opts.parallel.split_depth = 0;
-  auto sequential = EnumerateMaximalCores(dataset.graph, oracle, opts);
-  ASSERT_TRUE(sequential.status.ok());
-  opts.parallel.num_threads = 4;
-  opts.parallel.split_depth = 16;
-  auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
-  ASSERT_TRUE(parallel.status.ok());
-  EXPECT_EQ(parallel.cores, sequential.cores);
-}
 
 TEST(ParallelMax, BoundRefreshDoesNotChangeMaximumSize) {
   // Tiered lazy bounds are exact for any refresh interval: the cached value
@@ -323,7 +282,7 @@ TEST(ParallelMax, SeedIncumbentDoesNotChangeMaximumSize) {
 /// Schedule independence against the slow oracle, not just against the
 /// 1-thread run: on fixtures small enough for the exhaustive enumerator,
 /// AdvEnum returns exactly the naive maximal cores and AdvMax a valid core
-/// of the naive maximum size, for every thread count and split depth.
+/// of the naive maximum size, for every thread count.
 class NaiveOracleScheduleSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(NaiveOracleScheduleSweep, AdvEnumAndAdvMaxMatchNaiveOnEverySchedule) {
@@ -339,30 +298,26 @@ TEST_P(NaiveOracleScheduleSweep, AdvEnumAndAdvMaxMatchNaiveOnEverySchedule) {
     for (const auto& core : naive.cores) {
       naive_max = std::max(naive_max, core.size());
     }
-    for (uint32_t threads : {1u, 2u, 4u}) {
-      for (uint32_t split_depth : {0u, 2u, 16u}) {
-        EnumOptions eopts = AdvEnumOptions(kK);
-        eopts.parallel.num_threads = threads;
-        eopts.parallel.split_depth = split_depth;
-        auto cores = EnumerateMaximalCores(dataset.graph, oracle, eopts);
-        ASSERT_TRUE(cores.status.ok());
-        EXPECT_EQ(cores.cores, naive.cores)
-            << "threads=" << threads << " split_depth=" << split_depth
-            << " geo=" << geo << " seed=" << GetParam();
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      EnumOptions eopts = AdvEnumOptions(kK);
+      eopts.parallel.num_threads = threads;
+      auto cores = EnumerateMaximalCores(dataset.graph, oracle, eopts);
+      ASSERT_TRUE(cores.status.ok());
+      EXPECT_EQ(cores.cores, naive.cores)
+          << "threads=" << threads << " geo=" << geo
+          << " seed=" << GetParam();
 
-        MaxOptions mopts = AdvMaxOptions(kK);
-        mopts.parallel.num_threads = threads;
-        mopts.parallel.split_depth = split_depth;
-        auto best = FindMaximumCore(dataset.graph, oracle, mopts);
-        ASSERT_TRUE(best.status.ok());
-        EXPECT_EQ(best.best.size(), naive_max)
-            << "threads=" << threads << " split_depth=" << split_depth
-            << " geo=" << geo << " seed=" << GetParam();
-        if (!best.best.empty()) {
-          std::string why;
-          EXPECT_TRUE(IsKrCore(dataset.graph, oracle, kK, best.best, &why))
-              << why;
-        }
+      MaxOptions mopts = AdvMaxOptions(kK);
+      mopts.parallel.num_threads = threads;
+      auto best = FindMaximumCore(dataset.graph, oracle, mopts);
+      ASSERT_TRUE(best.status.ok());
+      EXPECT_EQ(best.best.size(), naive_max)
+          << "threads=" << threads << " geo=" << geo
+          << " seed=" << GetParam();
+      if (!best.best.empty()) {
+        std::string why;
+        EXPECT_TRUE(IsKrCore(dataset.graph, oracle, kK, best.best, &why))
+            << why;
       }
     }
   }

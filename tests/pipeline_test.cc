@@ -121,19 +121,6 @@ TEST(Pipeline, DissimilarNonEdgesKept) {
                                                           : (l0 + 1) % 4));
 }
 
-TEST(Pipeline, ExplicitPairBudgetStillEnforced) {
-  // A positive budget keeps the legacy hard-refusal semantics for callers
-  // that want a latency guard; the default (0) is unlimited.
-  auto fixture = MakeGrouped(3, {{0, 1}, {1, 2}, {0, 2}}, {0, 0, 0});
-  auto oracle = fixture.MakeOracle();
-  PipelineOptions opts;
-  opts.k = 2;
-  opts.preprocess.max_pair_budget = 1;
-  std::vector<ComponentContext> comps;
-  EXPECT_TRUE(PrepareComponents(fixture.graph, oracle, opts, &comps)
-                  .IsResourceExhausted());
-}
-
 TEST(Pipeline, LargeComponentAboveLegacyBudgetIsHandled) {
   // A ring of n vertices, all similar, is one k=2 component with
   // n*(n-1)/2 pairwise evaluations — above the old hard-coded 64M-pair
